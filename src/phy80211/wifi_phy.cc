@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "src/util/logging.h"
 
@@ -87,8 +88,9 @@ void WifiPhy::OnOwnTxEnd(const Ppdu& ppdu) {
   }
 }
 
-void WifiPhy::OnArrivalStart(uint64_t arrival_id, PpduRef ppdu, SimTime end,
-                             double distance_m, double rx_power_dbm) {
+void WifiPhy::OnArrivalStart(uint64_t arrival_id, const Ppdu& ppdu,
+                             SimTime end, double distance_m,
+                             double rx_power_dbm) {
   if (!radio_on_) {
     // Dead receiver: ignore the frame, but remember that its already
     // scheduled end edge will knock on an empty arrivals_ list.
@@ -96,7 +98,7 @@ void WifiPhy::OnArrivalStart(uint64_t arrival_id, PpduRef ppdu, SimTime end,
     return;
   }
   bool capture = channel_->propagation().limits_range();
-  Arrival arrival{std::move(ppdu), end, distance_m,
+  Arrival arrival{&ppdu, end, distance_m,
                   /*rx_power_mw=*/capture ? DbmToMw(rx_power_dbm) : 1.0,
                   /*interference_mw=*/0.0,
                   /*corrupted=*/false};
@@ -167,20 +169,20 @@ void WifiPhy::OnArrivalEnd(uint64_t arrival_id) {
   // Channel-noise loss per MPDU. For A-MPDUs each subframe has its own FCS
   // and fails independently; for single MPDUs there is just one draw.
   const Ppdu& ppdu = *arrival.ppdu;
-  std::vector<bool> mpdu_ok(ppdu.mpdus.size());
+  mpdu_ok_.assign(ppdu.mpdus.size(), false);
   bool any_ok = false;
   for (size_t i = 0; i < ppdu.mpdus.size(); ++i) {
     size_t bytes = ppdu.mpdus[i].SizeBytes();
     bool corrupt = loss_model_->ShouldCorrupt(ppdu.mode, bytes,
                                               arrival.distance_m, rng_);
-    mpdu_ok[i] = !corrupt;
+    mpdu_ok_[i] = !corrupt;
     any_ok = any_ok || !corrupt;
   }
   if (!any_ok) {
     listener_->OnRxCorrupted();
     return;
   }
-  listener_->OnPpduReceived(ppdu, mpdu_ok);
+  listener_->OnPpduReceived(ppdu, mpdu_ok_);
 }
 
 void WifiPhy::UpdateCca() {
@@ -299,35 +301,41 @@ void WirelessChannel::TransmitPerPhy(WifiPhy* sender, PpduRef ppdu,
     uint64_t arrival_id = next_arrival_id_++;
     scheduler_->ScheduleAt(
         now + prop,
-        [phy, arrival_id, ppdu, end = now + prop + duration, distance,
-         rx_dbm]() {
-          phy->OnArrivalStart(arrival_id, ppdu, end, distance, rx_dbm);
+        [phy, arrival_id, ppdu = ppdu.get(), end = now + prop + duration,
+         distance, rx_dbm]() {
+          phy->OnArrivalStart(arrival_id, *ppdu, end, distance, rx_dbm);
         },
         EventClass::kChannel);
+    // The end event owns a reference: the PHY's arrival points into the
+    // PPDU until this edge has run.
     scheduler_->ScheduleAt(
         now + prop + duration,
-        [phy, arrival_id]() { phy->OnArrivalEnd(arrival_id); },
+        [phy, arrival_id, ppdu]() { phy->OnArrivalEnd(arrival_id); },
         EventClass::kChannel);
   }
 }
 
-// Batched delivery: group every arrival edge (start or end) by its exact
-// nanosecond and schedule one event per group, all up-front at transmit
-// time. Three properties make this bit-identical to TransmitPerPhy:
+// Batched delivery: one event per distinct arrival-edge nanosecond, all
+// scheduled up-front at transmit time. Three properties make this
+// bit-identical to TransmitPerPhy:
 //   1. Edge times are computed with the same per-pair formula, so nothing
 //      moves in time.
 //   2. Within a group, edges run in attach order — the order the per-PHY
-//      events would have been popped (per-PHY scheduling assigns seqs in
-//      attach order, and a PHY's start/end never share a nanosecond because
-//      propagation delays are far shorter than frame durations).
-//   3. Groups are scheduled now, between the airtime event and the sender's
-//      tx-end event, so same-nanosecond FIFO ordering against *other* PPDUs'
-//      events (and the sender's own) is unchanged.
+//      events would have been popped. The stable counting sort below keeps
+//      attach order inside each nanosecond bucket, and the start-before-end
+//      CHECK guarantees no group mixes start and end edges.
+//   3. Groups are scheduled now, starts then ends, each in time order,
+//      between the airtime event and the sender's tx-end event, so
+//      same-nanosecond FIFO ordering against *other* PPDUs' events (and the
+//      sender's own) is unchanged.
 void WirelessChannel::TransmitBatched(WifiPhy* sender, PpduRef ppdu,
                                       SimTime now, SimTime duration) {
   bool ranged = propagation_->limits_range();
-  std::vector<DeliveryEdge> edges;
-  edges.reserve(2 * phys_.size());
+  uint64_t id_base = next_arrival_id_;
+  next_arrival_id_ += phys_.size();
+  in_range_.clear();
+  int64_t min_prop = std::numeric_limits<int64_t>::max();
+  int64_t max_prop = 0;
   for (size_t idx = 0; idx < phys_.size(); ++idx) {
     WifiPhy* phy = phys_[idx];
     if (phy == sender) {
@@ -341,42 +349,83 @@ void WirelessChannel::TransmitBatched(WifiPhy* sender, PpduRef ppdu,
       ++airtime_.out_of_range;
       continue;
     }
-    SimTime prop = PropagationDelay(distance);
-    SimTime start = now + prop;
-    SimTime end = start + duration;
-    uint64_t arrival_id = next_arrival_id_++;
-    edges.push_back(DeliveryEdge{start, idx, phy, arrival_id, end, distance,
-                                 rx_dbm, /*is_start=*/true});
-    edges.push_back(DeliveryEdge{end, idx, phy, arrival_id, end, distance,
-                                 rx_dbm, /*is_start=*/false});
+    int64_t prop = PropagationDelay(distance).ns();
+    min_prop = std::min(min_prop, prop);
+    max_prop = std::max(max_prop, prop);
+    in_range_.push_back(
+        {{phy, static_cast<uint32_t>(idx), distance, rx_dbm}, prop});
   }
-  std::sort(edges.begin(), edges.end(),
-            [](const DeliveryEdge& a, const DeliveryEdge& b) {
-              if (a.at != b.at) {
-                return a.at < b.at;
-              }
-              return a.attach_idx < b.attach_idx;
-            });
-  for (size_t lo = 0; lo < edges.size();) {
-    size_t hi = lo + 1;
-    while (hi < edges.size() && edges[hi].at == edges[lo].at) {
-      ++hi;
+  if (in_range_.empty()) {
+    return;
+  }
+  CHECK_LT(max_prop - min_prop, duration.ns())
+      << "batched delivery needs every arrival start of a PPDU before every "
+         "arrival end: the receivers' propagation-delay spread must be "
+         "shorter than the PPDU's airtime";
+
+  // Stable counting sort on the delay offset: count, exclusive prefix sum
+  // (one group per occupied bucket), then scatter in attach order.
+  auto buckets = static_cast<size_t>(max_prop - min_prop) + 1;
+  bucket_counts_.assign(buckets, 0);
+  size_t occupied = 0;
+  for (const auto& [slot, prop] : in_range_) {
+    uint32_t& count = bucket_counts_[static_cast<size_t>(prop - min_prop)];
+    occupied += count == 0 ? 1 : 0;
+    ++count;
+  }
+  auto d = std::make_unique<Delivery>();
+  d->ppdu = std::move(ppdu);
+  d->duration = duration;
+  d->arrival_id_base = id_base;
+  d->slots.resize(in_range_.size());
+  d->groups.reserve(occupied);
+  uint32_t next = 0;
+  for (size_t b = 0; b < buckets; ++b) {
+    uint32_t count = bucket_counts_[b];
+    if (count == 0) {
+      continue;
     }
-    std::vector<DeliveryEdge> group(edges.begin() + lo, edges.begin() + hi);
+    d->groups.push_back(
+        {next, now + SimTime::Nanos(min_prop + static_cast<int64_t>(b))});
+    bucket_counts_[b] = next;
+    next += count;
+  }
+  for (const auto& [slot, prop] : in_range_) {
+    d->slots[bucket_counts_[static_cast<size_t>(prop - min_prop)]++] = slot;
+  }
+
+  Delivery* record = d.get();
+  size_t last = record->groups.size() - 1;
+  for (size_t g = 0; g <= last; ++g) {
     scheduler_->ScheduleAt(
-        edges[lo].at,
-        [ppdu, group = std::move(group)]() {
-          for (const DeliveryEdge& e : group) {
-            if (e.is_start) {
-              e.phy->OnArrivalStart(e.arrival_id, ppdu, e.end, e.distance_m,
-                                    e.rx_power_dbm);
-            } else {
-              e.phy->OnArrivalEnd(e.arrival_id);
-            }
-          }
-        },
+        record->groups[g].start, [record, g]() { record->Start(g); },
         EventClass::kChannel);
-    lo = hi;
+  }
+  for (size_t g = 0; g < last; ++g) {
+    scheduler_->ScheduleAt(
+        record->groups[g].start + duration,
+        [record, g]() { record->End(g); }, EventClass::kChannel);
+  }
+  // The final end group fires after every other event of this PPDU, so it
+  // owns the record; destroying the event frees it and its PPDU reference.
+  scheduler_->ScheduleAt(
+      record->groups[last].start + duration,
+      [d = std::move(d), last]() { d->End(last); }, EventClass::kChannel);
+}
+
+void WirelessChannel::Delivery::Start(size_t g) const {
+  SimTime end = groups[g].start + duration;
+  for (uint32_t i = groups[g].begin; i < GroupEnd(g); ++i) {
+    const ReceiverSlot& s = slots[i];
+    s.phy->OnArrivalStart(arrival_id_base + s.attach_idx, *ppdu, end,
+                          s.distance_m, s.rx_power_dbm);
+  }
+}
+
+void WirelessChannel::Delivery::End(size_t g) const {
+  for (uint32_t i = groups[g].begin; i < GroupEnd(g); ++i) {
+    const ReceiverSlot& s = slots[i];
+    s.phy->OnArrivalEnd(arrival_id_base + s.attach_idx);
   }
 }
 

@@ -27,6 +27,27 @@
 // corruption semantics are bit-identical to the historical one-event-per-PHY
 // scheduling, which remains available (kPerPhyEvent) as the reference
 // semantics for the equivalence tests.
+//
+// The batched fan-out is O(n) per PPDU with no comparison sort:
+//   * Ordering. Each in-range receiver's delay is a whole nanosecond, so
+//     the receivers are bucketed by a stable counting sort keyed on
+//     (delay - minimum delay). A stable pass over attach order yields
+//     exactly the (edge time, attach index) order the per-PHY events pop
+//     in, since per-PHY scheduling assigns FIFO sequence numbers in attach
+//     order. Each occupied bucket becomes one start group and one end group.
+//   * Start before end. The bucket order is used for both edge kinds, which
+//     is only right if every start edge of a PPDU precedes every end edge:
+//     the delay spread across receivers must be shorter than the PPDU's
+//     airtime (~28 us at the shortest, a cell ~8 km across). The channel
+//     CHECKs this per PPDU rather than silently reordering edges.
+//   * Arrival ids are base + attach index, with base advanced by the
+//     attached-PHY count per PPDU. A PHY only compares ids for equality,
+//     and in-flight ids at one PHY always come from distinct PPDUs.
+//   * PPDU lifetime. A WifiPhy arrival holds a plain `const Ppdu*`; whoever
+//     schedules the arrival keeps the PPDU alive until its end edge has
+//     run. Batched delivery keeps one record per PPDU (the PpduRef plus the
+//     ordered receiver slots) owned by its final end-group event;
+//     kPerPhyEvent captures the PpduRef in each end event.
 #ifndef SRC_PHY80211_WIFI_PHY_H_
 #define SRC_PHY80211_WIFI_PHY_H_
 
@@ -115,7 +136,8 @@ class WifiPhy {
 
   // --- channel-facing interface -------------------------------------------
   void AttachTo(WirelessChannel* channel);
-  void OnArrivalStart(uint64_t arrival_id, PpduRef ppdu, SimTime end,
+  // `ppdu` must stay alive until OnArrivalEnd(arrival_id) has returned.
+  void OnArrivalStart(uint64_t arrival_id, const Ppdu& ppdu, SimTime end,
                       double distance_m, double rx_power_dbm);
   void OnArrivalEnd(uint64_t arrival_id);
   void OnOwnTxEnd(const Ppdu& ppdu);
@@ -125,7 +147,7 @@ class WifiPhy {
 
  private:
   struct Arrival {
-    PpduRef ppdu;
+    const Ppdu* ppdu;  // owned by the channel until the arrival's end edge
     SimTime end;
     double distance_m;
     double rx_power_mw = 0.0;
@@ -159,6 +181,8 @@ class WifiPhy {
   // arrival that provably started before the power transition.
   uint64_t dropped_arrival_ends_ = 0;
   uint64_t aborted_tx_ends_ = 0;
+  // Per-MPDU verdicts handed to OnPpduReceived; reused across PPDUs.
+  std::vector<bool> mpdu_ok_;
   PhyStats stats_;
 };
 
@@ -224,18 +248,35 @@ class WirelessChannel {
   const ChannelAirtime& airtime() const { return airtime_; }
 
  private:
-  // One receiver's arrival start or end edge inside a batched delivery
-  // event. `attach_idx` preserves the historical callback order for edges
-  // sharing a nanosecond.
-  struct DeliveryEdge {
-    SimTime at;
-    size_t attach_idx;
-    WifiPhy* phy;
-    uint64_t arrival_id;
-    SimTime end;           // arrival end time (start edges only)
-    double distance_m;     // start edges only
-    double rx_power_dbm;   // start edges only
-    bool is_start;
+  // One in-range receiver of a batched delivery, computed once per PPDU.
+  struct ReceiverSlot {
+    WifiPhy* phy = nullptr;
+    uint32_t attach_idx = 0;
+    double distance_m = 0.0;
+    double rx_power_dbm = 0.0;
+  };
+  // One PPDU's batched delivery: the receivers in (arrival nanosecond,
+  // attach index) order, cut into groups that share a nanosecond. Each
+  // group has a start event and an end event. The final end event runs
+  // after every other event of the PPDU, so it owns the record and frees
+  // it, PPDU reference included; the other events point into it.
+  struct Delivery {
+    struct Group {
+      uint32_t begin = 0;  // first slot; the group runs to the next's begin
+      SimTime start;
+    };
+    PpduRef ppdu;
+    SimTime duration;
+    uint64_t arrival_id_base = 0;
+    std::vector<ReceiverSlot> slots;
+    std::vector<Group> groups;
+
+    void Start(size_t g) const;
+    void End(size_t g) const;
+    uint32_t GroupEnd(size_t g) const {
+      return g + 1 < groups.size() ? groups[g + 1].begin
+                                   : static_cast<uint32_t>(slots.size());
+    }
   };
 
   void TransmitBatched(WifiPhy* sender, PpduRef ppdu, SimTime now,
@@ -250,6 +291,10 @@ class WirelessChannel {
   std::vector<WifiPhy*> phys_;
   uint64_t next_ppdu_id_ = 1;
   uint64_t next_arrival_id_ = 1;
+  // Counting-sort scratch reused across PPDUs: per-nanosecond counts and
+  // the in-range receivers in attach order with their delays.
+  std::vector<uint32_t> bucket_counts_;
+  std::vector<std::pair<ReceiverSlot, int64_t>> in_range_;
   ChannelAirtime airtime_;
   int active_transmissions_ = 0;
   SimTime overlap_started_;

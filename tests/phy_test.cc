@@ -3,11 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "src/phy80211/frame.h"
 #include "src/phy80211/loss_model.h"
+#include "src/phy80211/propagation.h"
 #include "src/phy80211/wifi_mode.h"
 #include "src/phy80211/wifi_phy.h"
 
@@ -474,6 +477,217 @@ TEST(WifiPhyTest, BatchedAndPerPhyDeliveryAgreeUnderCollision) {
   EXPECT_EQ(bcr, pcr);
   EXPECT_EQ(bcc, pcc);
   EXPECT_EQ(bat, pat);
+}
+
+// Records what each decoded PPDU carried, read inside the callback.
+class ContentListener : public WifiPhyListener {
+ public:
+  struct Decoded {
+    MacAddress ta;
+    std::vector<uint16_t> seqs;
+    size_t intact = 0;
+  };
+  void OnPpduReceived(const Ppdu& ppdu,
+                      const std::vector<bool>& mpdu_ok) override {
+    Decoded d{ppdu.first().ta, {}, 0};
+    for (size_t i = 0; i < ppdu.mpdus.size(); ++i) {
+      d.seqs.push_back(ppdu.mpdus[i].seq);
+      d.intact += mpdu_ok[i] ? 1 : 0;
+    }
+    decoded.push_back(std::move(d));
+  }
+  void OnRxCorrupted() override { ++corrupted; }
+  void OnTxEnd(const Ppdu&) override {}
+  void OnCcaBusy() override {}
+  void OnCcaIdle() override {}
+
+  std::vector<Decoded> decoded;
+  int corrupted = 0;
+};
+
+Ppdu MakeTestAmpdu(MacAddress from, MacAddress to, uint16_t first_seq) {
+  Ppdu ppdu;
+  ppdu.aggregated = true;
+  ppdu.mode = ModeForRate(Modes80211n(), 150);
+  for (uint16_t s = first_seq; s < first_seq + 4; ++s) {
+    TcpHeader tcp;
+    tcp.seq = s;
+    WifiFrame f;
+    f.type = WifiFrameType::kData;
+    f.ta = from;
+    f.ra = to;
+    f.seq = s;
+    f.packet = Packet::MakeTcp(Ipv4Address(1), Ipv4Address(2), tcp, 1200);
+    ppdu.mpdus.push_back(std::move(f));
+  }
+  return ppdu;
+}
+
+// A receiver's arrival points into the channel's single copy of the PPDU,
+// and that copy must outlive the sender's own tx-end. On the ranged channel
+// R (1 m from A) captures A's A-MPDU over B's overlapping, far weaker one.
+// By the time R's arrival of A's first PPDU ends, A has finished it and
+// already sent the next one back-to-back, so only the channel's delivery
+// record still holds the first PPDU (the ASan job turns a premature release
+// into a use-after-free report).
+TEST(WifiPhyTest, CapturedArrivalReadsItsPpduAfterSenderMovedOn) {
+  for (ChannelDeliveryMode mode :
+       {ChannelDeliveryMode::kBatched, ChannelDeliveryMode::kPerPhyEvent}) {
+    Scheduler sched;
+    WirelessChannel channel{&sched, mode};
+    WifiPhy a{&sched, Random(1)}, b{&sched, Random(2)}, r{&sched, Random(3)};
+    a.set_position({0, 0});
+    r.set_position({1, 0});
+    b.set_position({25, 0});  // -80 dBm at R: detectable, but no match for A
+    a.AttachTo(&channel);
+    b.AttachTo(&channel);
+    r.AttachTo(&channel);
+    channel.set_propagation(std::make_unique<LogDistancePropagation>());
+    ContentListener la, lb, lr;
+    a.set_listener(&la);
+    b.set_listener(&lb);
+    r.set_listener(&lr);
+
+    MacAddress ma = MacAddress::ForStation(0);
+    MacAddress mb = MacAddress::ForStation(1);
+    MacAddress mr = MacAddress::ForStation(2);
+    Ppdu first = MakeTestAmpdu(ma, mr, 10);
+    SimTime airtime = first.Duration();
+    ASSERT_TRUE(a.Send(std::move(first)));
+    // Scheduled after A's tx-end event for the same instant: A is idle again.
+    sched.ScheduleAt(SimTime() + airtime, [&]() {
+      ASSERT_TRUE(a.Send(MakeTestAmpdu(ma, mr, 20)));
+    });
+    sched.ScheduleAt(SimTime::Nanos(airtime.ns() / 2), [&]() {
+      ASSERT_TRUE(b.Send(MakeTestAmpdu(mb, mr, 30)));
+    });
+    sched.Run();
+
+    ASSERT_EQ(lr.decoded.size(), 2u);
+    EXPECT_EQ(lr.decoded[0].ta, ma);
+    EXPECT_EQ(lr.decoded[0].seqs, (std::vector<uint16_t>{10, 11, 12, 13}));
+    EXPECT_EQ(lr.decoded[0].intact, 4u);
+    EXPECT_EQ(lr.decoded[1].ta, ma);
+    EXPECT_EQ(lr.decoded[1].seqs, (std::vector<uint16_t>{20, 21, 22, 23}));
+    EXPECT_EQ(lr.corrupted, 1);  // B's frame lost the overlap at R
+    EXPECT_EQ(r.stats().captures, 2u);
+    EXPECT_EQ(r.stats().overlap_losses, 1u);
+  }
+}
+
+// Range pruning with the sender attached in the middle of the PHY list:
+// the batched path skips the sender and the out-of-range receivers exactly
+// as the per-PHY reference does.
+TEST(WifiPhyTest, RangedDeliveryFromMidListSenderMatchesPerPhy) {
+  auto run = [](ChannelDeliveryMode mode) {
+    Scheduler sched;
+    WirelessChannel channel{&sched, mode};
+    const std::vector<Position> spots = {
+        {3, 0}, {60, 0}, {0, 0}, {0, 12}, {-45, 5}, {0, -20}};
+    std::vector<std::unique_ptr<WifiPhy>> phys;
+    std::vector<std::unique_ptr<RecordingListener>> listeners;
+    for (size_t i = 0; i < spots.size(); ++i) {
+      phys.push_back(std::make_unique<WifiPhy>(&sched, Random(10 + i)));
+      listeners.push_back(std::make_unique<RecordingListener>());
+      phys[i]->set_position(spots[i]);
+      phys[i]->set_listener(listeners[i].get());
+      phys[i]->AttachTo(&channel);
+    }
+    channel.set_propagation(std::make_unique<LogDistancePropagation>());
+    WifiPhy& sender = *phys[2];
+    EXPECT_TRUE(sender.Send(
+        MakeTestPpdu(MacAddress::ForStation(2), MacAddress::ForStation(0))));
+    sched.Run();
+    EXPECT_TRUE(sender.Send(
+        MakeTestPpdu(MacAddress::ForStation(2), MacAddress::ForStation(3))));
+    sched.Run();
+    std::vector<int> received;
+    for (const auto& l : listeners) {
+      received.push_back(l->received);
+    }
+    return std::pair{channel.airtime(), received};
+  };
+  auto [batched_air, batched_rx] = run(ChannelDeliveryMode::kBatched);
+  auto [per_phy_air, per_phy_rx] = run(ChannelDeliveryMode::kPerPhyEvent);
+  // Stations 1 (60 m) and 4 (~45 m) sit beyond the ~27 m detect radius.
+  EXPECT_EQ(batched_air.out_of_range, 4u);
+  EXPECT_EQ(batched_air, per_phy_air);
+  EXPECT_EQ(batched_rx, (std::vector<int>{2, 0, 0, 2, 0, 2}));
+  EXPECT_EQ(batched_rx, per_phy_rx);
+}
+
+// Appends "<id><event>" to a log shared by every listener, so the test sees
+// the global callback order across PHYs.
+class OrderLoggingListener : public WifiPhyListener {
+ public:
+  OrderLoggingListener(int id, std::vector<std::string>* log)
+      : id_(id), log_(log) {}
+  void OnPpduReceived(const Ppdu&, const std::vector<bool>&) override {
+    Log('R');
+  }
+  void OnRxCorrupted() override { Log('X'); }
+  void OnTxEnd(const Ppdu&) override { Log('T'); }
+  void OnCcaBusy() override { Log('B'); }
+  void OnCcaIdle() override { Log('I'); }
+
+ private:
+  void Log(char event) { log_->push_back(std::to_string(id_) + event); }
+  int id_;
+  std::vector<std::string>* log_;
+};
+
+// Receivers sharing an arrival nanosecond must be called back in attach
+// order — the order the per-PHY events pop in — whatever their position
+// in the list relative to receivers at other distances.
+TEST(WifiPhyTest, SameNanosecondCallbacksRunInAttachOrder) {
+  auto run = [](ChannelDeliveryMode mode) {
+    Scheduler sched;
+    WirelessChannel channel{&sched, mode};
+    const std::vector<double> distances = {9, 3, 0, 9, 3, 9, 3};
+    std::vector<std::string> log;
+    std::vector<std::unique_ptr<WifiPhy>> phys;
+    std::vector<std::unique_ptr<OrderLoggingListener>> listeners;
+    for (size_t i = 0; i < distances.size(); ++i) {
+      phys.push_back(std::make_unique<WifiPhy>(&sched, Random(20 + i)));
+      listeners.push_back(
+          std::make_unique<OrderLoggingListener>(static_cast<int>(i), &log));
+      phys[i]->set_position({distances[i], 0});
+      phys[i]->set_listener(listeners[i].get());
+      phys[i]->AttachTo(&channel);
+    }
+    EXPECT_TRUE(phys[2]->Send(
+        MakeTestPpdu(MacAddress::ForStation(2), MacAddress::ForStation(0))));
+    sched.Run();
+    return log;
+  };
+  std::vector<std::string> batched = run(ChannelDeliveryMode::kBatched);
+  EXPECT_EQ(batched, run(ChannelDeliveryMode::kPerPhyEvent));
+  // Sender busy; the 3 m group (1, 4, 6), then the 9 m group (0, 3, 5),
+  // each in attach order; the ends in the same order, sender's tx-end
+  // between them.
+  EXPECT_EQ(batched, (std::vector<std::string>{
+                         "2B", "1B", "4B", "6B", "0B", "3B", "5B", "2I",
+                         "2T", "1I", "1R", "4I", "4R", "6I", "6R", "0I",
+                         "0R", "3I", "3R", "5I", "5R"}));
+}
+
+// Batched delivery orders start and end edges with one bucket pass, which
+// holds only while the receivers' delay spread is below the PPDU airtime.
+// A receiver 100 km out (333 us) against a ~170 us frame must abort, not
+// interleave edges silently.
+TEST(WifiPhyTest, DelaySpreadBeyondAirtimeAborts) {
+  Scheduler sched;
+  WirelessChannel channel{&sched};
+  WifiPhy a{&sched, Random(1)}, near{&sched, Random(2)}, far{&sched, Random(3)};
+  a.AttachTo(&channel);
+  near.AttachTo(&channel);
+  far.AttachTo(&channel);
+  a.set_position({0, 0});
+  near.set_position({5, 0});
+  far.set_position({100e3, 0});
+  EXPECT_DEATH(a.Send(MakeTestPpdu(MacAddress::ForStation(0),
+                                   MacAddress::ForStation(1))),
+               "every arrival start of a PPDU before every arrival end");
 }
 
 TEST(WifiPhyTest, AirtimeLedgerCountsCollisionOverlap) {

@@ -5,7 +5,11 @@
 //    experiment statistics to the historical per-PHY-event scheduling for
 //    full scenarios at 1/3/10 clients — while executing fewer events. The
 //    hidden-terminal configurations run the same check over the geometric
-//    channel (range-limited decode + SINR capture).
+//    channel (range-limited decode + SINR capture). 100-station rows cover
+//    the shapes small cells never reach: many receivers per arrival
+//    nanosecond under heavy collisions, range pruning at scale, and radios
+//    powering down mid-arrival. Each batched run's event count is pinned,
+//    so the per-PPDU group structure cannot drift unnoticed.
 // 2. Event-count independence: at the channel layer, the number of
 //    scheduler events per PPDU must not grow with the attached-PHY count.
 // 3. A 100-station scenario smoke, so the dense-cell path is exercised by
@@ -17,6 +21,8 @@
 // 5. Hidden-terminal behaviour: plain DCF loses most of its goodput to
 //    hidden collisions on the two-cluster topology; RTS/CTS recovers it.
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "src/scenario/download_scenario.h"
 
@@ -37,7 +43,11 @@ ScenarioConfig BaseConfig(int n_clients, TransportProto proto,
   return c;
 }
 
-void ExpectModesEquivalent(ScenarioConfig config) {
+// `batched_events` pins the batched run's events_executed: one start and
+// one end event per distinct arrival nanosecond per PPDU, so any change to
+// how arrival edges are grouped moves it.
+ScenarioResult ExpectModesEquivalent(ScenarioConfig config,
+                                     uint64_t batched_events) {
   config.channel_delivery = ChannelDeliveryMode::kPerPhyEvent;
   ScenarioResult per_phy = RunScenario(config);
   config.channel_delivery = ChannelDeliveryMode::kBatched;
@@ -47,8 +57,9 @@ void ExpectModesEquivalent(ScenarioConfig config) {
       << "batched delivery diverged: goodput " << batched.aggregate_goodput_mbps
       << " vs " << per_phy.aggregate_goodput_mbps << ", airtime ppdus "
       << batched.airtime.ppdus << " vs " << per_phy.airtime.ppdus;
-  ASSERT_EQ(batched.clients.size(), per_phy.clients.size());
-  for (size_t i = 0; i < batched.clients.size(); ++i) {
+  EXPECT_EQ(batched.clients.size(), per_phy.clients.size());
+  for (size_t i = 0;
+       i < std::min(batched.clients.size(), per_phy.clients.size()); ++i) {
     EXPECT_EQ(batched.clients[i], per_phy.clients[i]) << "client " << i;
   }
   // Identical behaviour from strictly fewer scheduler events (2+ clients
@@ -58,31 +69,33 @@ void ExpectModesEquivalent(ScenarioConfig config) {
   } else {
     EXPECT_LE(batched.events_executed, per_phy.events_executed);
   }
+  EXPECT_EQ(batched.events_executed, batched_events);
+  return batched;
 }
 
 TEST(BatchedDeliveryEquivalenceTest, TcpHackOneClient) {
   ExpectModesEquivalent(
-      BaseConfig(1, TransportProto::kTcp, HackVariant::kMoreData));
+      BaseConfig(1, TransportProto::kTcp, HackVariant::kMoreData), 31626u);
 }
 
 TEST(BatchedDeliveryEquivalenceTest, TcpHackThreeClients) {
   ExpectModesEquivalent(
-      BaseConfig(3, TransportProto::kTcp, HackVariant::kMoreData));
+      BaseConfig(3, TransportProto::kTcp, HackVariant::kMoreData), 38067u);
 }
 
 TEST(BatchedDeliveryEquivalenceTest, TcpStockTenClients) {
   ExpectModesEquivalent(
-      BaseConfig(10, TransportProto::kTcp, HackVariant::kOff));
+      BaseConfig(10, TransportProto::kTcp, HackVariant::kOff), 40749u);
 }
 
 TEST(BatchedDeliveryEquivalenceTest, TcpHackTenClients) {
   ExpectModesEquivalent(
-      BaseConfig(10, TransportProto::kTcp, HackVariant::kMoreData));
+      BaseConfig(10, TransportProto::kTcp, HackVariant::kMoreData), 39267u);
 }
 
 TEST(BatchedDeliveryEquivalenceTest, UdpTenClients) {
   ExpectModesEquivalent(
-      BaseConfig(10, TransportProto::kUdp, HackVariant::kOff));
+      BaseConfig(10, TransportProto::kUdp, HackVariant::kOff), 50337u);
 }
 
 TEST(BatchedDeliveryEquivalenceTest, LossyUploadThreeClients) {
@@ -95,7 +108,7 @@ TEST(BatchedDeliveryEquivalenceTest, LossyUploadThreeClients) {
   for (auto& spec : c.clients) {
     spec.bernoulli_data_loss = 0.05;
   }
-  ExpectModesEquivalent(c);
+  ExpectModesEquivalent(c, 27127u);
 }
 
 ScenarioConfig HiddenConfig(int n_clients, size_t rts_threshold) {
@@ -114,11 +127,49 @@ ScenarioConfig HiddenConfig(int n_clients, size_t rts_threshold) {
 TEST(BatchedDeliveryEquivalenceTest, HiddenTwoClusterUdpUpload) {
   // The geometric channel prunes out-of-range pairs in both delivery modes;
   // they must still agree bit-for-bit, including the capture counters.
-  ExpectModesEquivalent(HiddenConfig(6, /*rts_threshold=*/0));
+  ExpectModesEquivalent(HiddenConfig(6, /*rts_threshold=*/0), 8062u);
 }
 
 TEST(BatchedDeliveryEquivalenceTest, HiddenTwoClusterRtsProtected) {
-  ExpectModesEquivalent(HiddenConfig(6, /*rts_threshold=*/500));
+  ExpectModesEquivalent(HiddenConfig(6, /*rts_threshold=*/500), 22046u);
+}
+
+// Saturated UDP uplink from 100 stations on the 5 m ring: every PPDU fans
+// out to ~100 receivers packed into a few arrival nanoseconds, and the
+// contention produces collisions at every receiver.
+TEST(BatchedDeliveryEquivalenceTest, HundredStationRingSaturatedUplink) {
+  ScenarioConfig c = BaseConfig(100, TransportProto::kUdp, HackVariant::kOff);
+  c.upload = true;
+  c.duration = SimTime::Millis(60);
+  c.start_stagger = SimTime::Micros(100);
+  ScenarioResult r = ExpectModesEquivalent(c, 40570u);
+  EXPECT_GT(r.airtime.collisions, 0u);
+}
+
+// Range pruning and SINR capture with 100 receivers per cluster pair, under
+// RTS/CTS.
+TEST(BatchedDeliveryEquivalenceTest, HundredStationHiddenClustersRts) {
+  ScenarioConfig c = HiddenConfig(100, /*rts_threshold=*/500);
+  c.duration = SimTime::Millis(60);
+  c.start_stagger = SimTime::Micros(100);
+  ScenarioResult r = ExpectModesEquivalent(c, 27752u);
+  EXPECT_GT(r.airtime.out_of_range, 0u);
+  EXPECT_GT(r.ap_phy.captures + r.ap_phy.overlap_losses, 0u);
+  EXPECT_GT(r.airtime.rts_cts_ns, 0);
+}
+
+// Every 5th station crashes mid-run and rejoins. With a 50 ms run the
+// crash instant (30%) falls inside a PPDU at every crashing station, so
+// radios power down with arrivals in flight and their end edges are
+// swallowed by the PHY's dropped-arrival counter in both delivery modes.
+TEST(BatchedDeliveryEquivalenceTest, HundredStationChurn) {
+  ScenarioConfig c = BaseConfig(100, TransportProto::kUdp, HackVariant::kOff);
+  c.upload = true;
+  c.duration = SimTime::Millis(50);
+  c.start_stagger = SimTime::Micros(100);
+  c.fault_plan = FaultPlan::Churn(c.n_clients, c.duration);
+  ScenarioResult r = ExpectModesEquivalent(c, 36211u);
+  EXPECT_EQ(r.fault.crashes, 20u);
 }
 
 // Same contract for the coalesced NAV-reset probe: the default (zero-event

@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
 """CI perf gates over the bench artifacts.
 
-Three gates, all keyed to the committed Release references in the repo root:
+Ten gates, all keyed to the committed Release references in the repo root:
 
 1. Scheduler microbench: the freshly measured BM_SchedulerCancelHeavy must
    not regress more than --max-regress (default 25%) against the committed
    BENCH_micro.json. This is the cancel-dominated MAC-timeout pattern the
-   timing wheel exists for.
+   timing wheel exists for. Gate 10 applies the same rule to the channel
+   fan-out.
 2. Dense-cell event cost: 1000-station rows in BENCH_scale.json must keep
    events_per_ppdu below --ev-ppdu-ceiling (default 100, vs ~525 before the
    lazy NAV/DCF re-arm work and ~250 before the coalesced NAV probes +
@@ -90,6 +91,12 @@ Three gates, all keyed to the committed Release references in the repo root:
    baseline's (same replicate seeds, so this is a paired comparison —
    batching ACKs must never cost goodput). Deterministic and machine-
    independent; same committed/fresh policy as gate 8.
+10. Channel fan-out microbench: the freshly measured
+   BM_ChannelTransmit/1000 (one 16-MPDU A-MPDU delivered to 1000
+   receivers on a 5 m ring) must not regress more than --max-regress
+   against the committed BENCH_micro.json — the per-receiver delivery cost
+   that dominates every 1000-station row. Wall-clock like gate 1, with the
+   same cross-machine caveat.
 
 Usage:
   check_bench_gates.py --committed-micro BENCH_micro.json \
@@ -124,21 +131,28 @@ ZERO_BYTE_EXEMPT = frozenset({"udp-hidden"})
 POST_FAULT_ROWS = {"udp-churn": "udp", "udp-apout": "udp"}
 
 
-def cancel_heavy_ns(path):
+# Wall-clock microbenches gated against the committed reference (gates 1
+# and 10).
+GATED_MICRO_BENCHES = ("BM_SchedulerCancelHeavy", "BM_ChannelTransmit/1000")
+
+
+def micro_ns(path, bench):
+    """`bench`'s time in ns: a name is `bench` itself or `bench` followed
+    by an aggregate suffix (_mean...) or more arguments (/...)."""
     with open(path) as f:
         data = json.load(f)
     # Prefer the mean aggregate; fall back to a plain run.
     best = None
     for b in data.get("benchmarks", []):
         name = b.get("name", "")
-        if not name.startswith("BM_SchedulerCancelHeavy"):
+        if name != bench and not name.startswith((bench + "_", bench + "/")):
             continue
         if name.endswith("_mean") or name.endswith("_median"):
             return float(b["real_time"])
         if best is None:
             best = float(b["real_time"])
     if best is None:
-        raise SystemExit(f"FAIL: no BM_SchedulerCancelHeavy entry in {path}")
+        raise SystemExit(f"FAIL: no {bench} entry in {path}")
     return best
 
 
@@ -188,13 +202,14 @@ def build_parser():
 def run_gates(args):
     failed = False
 
-    ref = cancel_heavy_ns(args.committed_micro)
-    fresh = cancel_heavy_ns(args.fresh_micro)
-    limit = ref * (1.0 + args.max_regress)
-    verdict = "OK" if fresh <= limit else "FAIL"
-    print(f"[{verdict}] BM_SchedulerCancelHeavy: fresh {fresh:.0f} ns vs "
-          f"committed {ref:.0f} ns (limit {limit:.0f} ns)")
-    failed |= fresh > limit
+    for bench in GATED_MICRO_BENCHES:
+        ref = micro_ns(args.committed_micro, bench)
+        fresh = micro_ns(args.fresh_micro, bench)
+        limit = ref * (1.0 + args.max_regress)
+        verdict = "OK" if fresh <= limit else "FAIL"
+        print(f"[{verdict}] {bench}: fresh {fresh:.0f} ns vs "
+              f"committed {ref:.0f} ns (limit {limit:.0f} ns)")
+        failed |= fresh > limit
 
     for label, path in (("committed", args.committed_scale),
                         ("fresh", args.fresh_scale)):
@@ -489,7 +504,7 @@ def run_gates(args):
 def self_test():
     """Exercises every gate's pass AND fail branch on synthetic artifacts.
 
-    Builds a minimal artifact pair that satisfies all nine gates (must exit
+    Builds a minimal artifact pair that satisfies all ten gates (must exit
     0 with no FAIL line), then a poisoned pair that trips every gate (must
     exit 1 with a FAIL line per gate). No bench binaries are needed, so CI
     runs this before spending a minute generating real artifacts.
@@ -501,7 +516,11 @@ def self_test():
 
     def micro(ns):
         return {"benchmarks": [
-            {"name": "BM_SchedulerCancelHeavy/1024_mean", "real_time": ns}]}
+            {"name": "BM_SchedulerCancelHeavy/1024_mean", "real_time": ns},
+            # A /10 and a /10000 entry must not be mistaken for /1000.
+            {"name": "BM_ChannelTransmit/10_mean", "real_time": 1.0},
+            {"name": "BM_ChannelTransmit/10000_mean", "real_time": 1.0},
+            {"name": "BM_ChannelTransmit/1000_mean", "real_time": 1000 * ns}]}
 
     def row(proto, hack="off", **kw):
         d = {"stations": 1000, "proto": proto, "hack": hack,
@@ -595,6 +614,7 @@ def self_test():
         fail_lines = [l for l in out.splitlines() if l.startswith("[FAIL]")]
         expected = [
             "BM_SchedulerCancelHeavy",       # gate 1
+            "BM_ChannelTransmit/1000",       # gate 10
             "ev/PPDU",                       # gate 2 (total)
             "NAV-reset probes",              # gate 2 (per-class)
             "transport pacing",              # gate 2 (per-class)

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Fails CI on dead relative links in the markdown docs.
+"""Fails CI on dead relative links and stale CLI flags in the markdown docs.
 
 Scans README.md, ROADMAP.md, CHANGES.md and docs/*.md for markdown links
 and inline `path` references to repo files, and verifies every relative
@@ -7,13 +7,20 @@ link target exists. External links (http/https/mailto) are not fetched —
 this gate is about keeping the internal doc graph (README → docs/ →
 docs/) unbroken as files move.
 
-Usage: python3 tools/check_doc_links.py [repo_root]
-Exit 0 if every relative link resolves, 1 otherwise (one line per dead
-link: file, line, target).
+Second check: every `--flag` of a `hacksim_run` invocation inside a fenced
+code block in README.md or docs/*.md must be a flag that
+tools/hacksim_run.cc parses. The flag table is read statically from the
+parser's `ParseFlag(argv[i], "name", ...)` and
+`std::strcmp(argv[i], "--name")` calls, so no build is needed.
 
-python3 tools/check_doc_links.py --self-test exercises both branches on
-synthetic doc trees (a clean tree must pass, a tree with a dead link must
-fail) and exits 0 iff both behave.
+Usage: python3 tools/check_doc_links.py [repo_root]
+Exit 0 if every relative link resolves and every documented flag exists,
+1 otherwise (one line per dead link or unknown flag: file, line, target).
+
+python3 tools/check_doc_links.py --self-test exercises both branches of
+both checks on synthetic trees (a clean tree must pass; a dead link, and
+separately a bogus hacksim_run flag, must each fail) and exits 0 iff all
+behave.
 """
 
 import pathlib
@@ -26,6 +33,12 @@ LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 
 SKIP_SCHEMES = ("http://", "https://", "mailto:", "#")
 
+# The runner's flag table: valued flags go through ParseFlag, switches
+# through strcmp.
+PARSE_FLAG_RE = re.compile(r'ParseFlag\(argv\[i\], "([a-z0-9-]+)"')
+SWITCH_RE = re.compile(r'strcmp\(argv\[i\], "(--[a-z0-9-]+)"\)')
+DOC_FLAG_RE = re.compile(r"(?<![\w-])(--[a-z][a-z0-9-]*)")
+
 
 def doc_files(root: pathlib.Path):
     for name in ("README.md", "ROADMAP.md", "CHANGES.md"):
@@ -33,6 +46,63 @@ def doc_files(root: pathlib.Path):
         if p.exists():
             yield p
     yield from sorted((root / "docs").glob("*.md"))
+
+
+def runner_flags(root: pathlib.Path):
+    src = (root / "tools" / "hacksim_run.cc").read_text(encoding="utf-8")
+    return ({"--" + name for name in PARSE_FLAG_RE.findall(src)}
+            | set(SWITCH_RE.findall(src)))
+
+
+def hacksim_run_invocations(text: str):
+    """Yields (line number, command text) per hacksim_run invocation in a
+    fenced code block; backslash continuations join onto the command."""
+    in_fence = False
+    command, start = None, 0
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if line.lstrip().startswith("```"):
+            in_fence = not in_fence
+            command = None
+            continue
+        if not in_fence:
+            continue
+        if command is None:
+            at = line.find("hacksim_run")
+            if at < 0:
+                continue
+            command, start = line[at + len("hacksim_run"):], lineno
+        else:
+            command += " " + line
+        if command.rstrip().endswith("\\"):
+            command = command.rstrip()[:-1]
+            continue
+        # A trailing comment is prose, not flags.
+        yield start, command.split(" #", 1)[0]
+        command = None
+
+
+def check_flags(root: pathlib.Path) -> int:
+    known = runner_flags(root)
+    unknown = []
+    checked = 0
+    docs = [root / "README.md"] + sorted((root / "docs").glob("*.md"))
+    for doc in docs:
+        if not doc.exists():
+            continue
+        text = doc.read_text(encoding="utf-8")
+        for lineno, command in hacksim_run_invocations(text):
+            for flag in DOC_FLAG_RE.findall(command):
+                checked += 1
+                if flag not in known:
+                    unknown.append((doc.relative_to(root), lineno, flag))
+    for doc, lineno, flag in unknown:
+        print(f"UNKNOWN FLAG {doc}:{lineno}: hacksim_run {flag}")
+    print(
+        f"doc flag check: {checked} hacksim_run flags against "
+        f"{len(known)} known, {len(unknown)} unknown"
+        + (" — FAILED" if unknown else "")
+    )
+    return 1 if unknown else 0
 
 
 def check(root: pathlib.Path) -> int:
@@ -64,13 +134,32 @@ def check(root: pathlib.Path) -> int:
 
 
 def self_test() -> int:
-    """Both branches on synthetic trees: clean → 0, dead link → 1."""
+    """Both branches of both checks on synthetic trees: clean → 0, dead
+    link → 1, bogus hacksim_run flag → 1."""
     import tempfile
 
     ok = True
     with tempfile.TemporaryDirectory() as tmp:
         root = pathlib.Path(tmp)
         (root / "docs").mkdir()
+        (root / "tools").mkdir()
+        (root / "tools" / "hacksim_run.cc").write_text(
+            'if (ParseFlag(argv[i], "clients", &value)) {\n'
+            '} else if (std::strcmp(argv[i], "--upload") == 0) {\n',
+            encoding="utf-8")
+        (root / "docs" / "cli.md").write_text(
+            "```\nhacksim_run --clients=2 \\\n    --upload  # comment\n"
+            "campaign --jobs=4\n```\n", encoding="utf-8")
+        if check_flags(root) != 0:
+            print("self-test FAIL: documented flags that exist did not pass")
+            ok = False
+        (root / "docs" / "cli.md").write_text(
+            "```\nhacksim_run --clients=2 \\\n    --stations=2\n```\n",
+            encoding="utf-8")
+        if check_flags(root) != 1:
+            print("self-test FAIL: a bogus hacksim_run flag did not fail")
+            ok = False
+        (root / "docs" / "cli.md").unlink()
         (root / "docs" / "guide.md").write_text(
             "See [the readme](../README.md).\n", encoding="utf-8")
         (root / "README.md").write_text(
@@ -93,7 +182,9 @@ def main() -> int:
     if "--self-test" in sys.argv[1:]:
         return self_test()
     root = pathlib.Path(sys.argv[1] if len(sys.argv) > 1 else ".").resolve()
-    return check(root)
+    links = check(root)
+    flags = check_flags(root)
+    return 1 if links or flags else 0
 
 
 if __name__ == "__main__":
