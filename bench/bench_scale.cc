@@ -173,12 +173,12 @@ ScaleRow RunOne(int stations, const Workload& w, uint64_t seed) {
     c.udp_rate_bps = w.udp_rate_bps;
   }
   if (w.proto == TransportProto::kUdp && w.upload) {
-    // Token-bucket app pacing on the saturated uplink rows: one transport
-    // refill per 16 ms window per station instead of one event per packet
-    // (burst size adapts to each station's CBR interval). The downlink
-    // rows keep the classic chain: their per-flow interval at depth is
-    // near/above the window, and their replicate CIs are pinned across
-    // PRs.
+    // A 16 ms token-bucket window on the saturated uplink rows: one
+    // transport refill per window per station releases every tick accrued
+    // in it (burst size adapts to each station's CBR interval). The
+    // downlink rows keep the zero window, a burst of 1 (one event per
+    // packet): their per-flow interval at depth is near/above the window,
+    // and their replicate CIs are pinned across PRs.
     c.udp_burst_window = SimTime::Millis(16);
   }
   c.topology = w.topology;

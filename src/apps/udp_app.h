@@ -3,65 +3,52 @@
 #ifndef SRC_APPS_UDP_APP_H_
 #define SRC_APPS_UDP_APP_H_
 
-#include <functional>
-
-#include "src/net/address.h"
-#include "src/packet/packet.h"
-#include "src/sim/scheduler.h"
+#include "src/apps/packet_source.h"
 #include "src/stats/experiment_stats.h"
 
 namespace hacksim {
 
-class UdpCbrSource {
+// Paced by one token-bucket loop. The CBR clock ticks every
+// payload*8/rate; a refill event releases every tick accrued up to its
+// instant, then re-arms one burst period out (clamped to the stop, so a
+// finite stop flushes its tail exactly). The burst is as many ticks as fit
+// in Config::burst_window, capped at kMaxBurstPackets. A burst of 1 -- the
+// default, and any window up to one interval -- is the per-packet schedule:
+// one event per packet, emitted at its tick instant.
+class UdpCbrSource : public PacketSource {
  public:
   struct Config {
     double rate_bps = 200e6;     // offered load (saturating by default)
     uint32_t payload_bytes = 1472;
     SimTime start;
     SimTime stop = SimTime::Max();
-    // Token-bucket pacing. Zero (default) keeps the classic chain: one
-    // kTransportTimer event per packet. A window longer than the packet
-    // interval switches to bucket mode: one refill event per window
-    // releases every CBR tick accrued since the last refill, so the event
-    // count drops by the burst factor while byte totals match the classic
-    // chain at every refill boundary and at Stop() (which flushes).
+    // Refill cadence. A window longer than one interval batches the ticks
+    // accrued in it into one event (late accrual: emission instants shift
+    // to the refill edge, the tick grid and byte totals do not).
     SimTime burst_window;
-    // Cap on packets released per refill (bounds the burst a single event
-    // injects into the MAC queue; the window shrinks to cap * interval).
-    uint32_t max_burst_packets = 64;
   };
+  // Cap on packets released per refill: bounds the burst one event injects
+  // into the MAC queue (the window shrinks to cap * interval).
+  static constexpr uint32_t kMaxBurstPackets = 64;
 
   UdpCbrSource(Scheduler* scheduler, Config config, FiveTuple flow,
                std::function<void(Packet)> send);
 
-  void Start();
-
-  // Fault-injection control. Stop() ends the emission chain at the next
-  // tick; Resume(at, stop) re-arms a fresh chain from `at`. The epoch
-  // counter strands the old chain's self-rescheduled event, so stop/resume
-  // cycles never double the emission rate.
-  void Stop();
-  void Resume(SimTime at, SimTime stop = SimTime::Max());
-
-  uint64_t packets_sent() const { return packets_sent_; }
+  void Start() override;
+  // Also releases the ticks accrued since the last refill: the instants
+  // before the stop whose packets a refill has not emitted yet.
+  void Stop() override;
 
  private:
-  void EmitNext(uint64_t epoch);
-  void Refill(uint64_t epoch);
-  void EmitOne();
+  void Step() override;  // one refill
+  void Restart(SimTime from) override;
 
-  Scheduler* scheduler_;
-  Config config_;
-  FiveTuple flow_;
-  std::function<void(Packet)> send_;
+  SimTime start_;
+  uint32_t payload_bytes_;
   SimTime interval_;
-  // Bucket mode (burst_packets_ > 1): the virtual CBR clock. The next
-  // unreleased tick; Max() until Start()/Resume() arms a chain.
+  SimTime period_;  // refill cadence = interval_ * burst size
+  // The CBR clock: the next unreleased tick; Max() while none is due.
   SimTime next_emit_ = SimTime::Max();
-  SimTime period_;             // refill cadence = interval_ * burst_packets_
-  uint32_t burst_packets_ = 1;  // 1 = classic one-event-per-packet chain
-  uint64_t packets_sent_ = 0;
-  uint64_t epoch_ = 0;
 };
 
 class UdpSink {

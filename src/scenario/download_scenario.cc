@@ -17,8 +17,13 @@ constexpr uint16_t kClientPortBase = 6000;
 struct ClientEndpoint {
   std::unique_ptr<Node> node;
   std::unique_ptr<WifiNetDevice> device;
+  // The station's TCP flow, whichever node each end runs on.
   std::unique_ptr<TcpReceiver> tcp_rx;
   std::unique_ptr<TcpSender> tcp_tx;
+  bool tcp_started = false;
+  // The station's UDP-ish flow: its own on UDP scenarios, the background
+  // flow on TCP+mix ones.
+  std::unique_ptr<PacketSource> source;
   std::unique_ptr<UdpSink> udp_sink;
   GoodputTracker tracker;
   SimTime completion;
@@ -27,6 +32,34 @@ struct ClientEndpoint {
   SimTime tcp_last_delay;
   bool tcp_has_delay = false;
 };
+
+// One direction of a station's flow: the sending and receiving node and
+// port.
+struct FlowEnds {
+  Node* tx;
+  uint16_t tx_port;
+  Node* rx;
+  uint16_t rx_port;
+
+  FiveTuple Tuple(uint8_t proto) const {
+    return {tx->address(), rx->address(), tx_port, rx_port, proto};
+  }
+};
+
+std::unique_ptr<PacketSource> MakeSource(Scheduler* scheduler,
+                                         const UdpCbrSource::Config& cfg,
+                                         FiveTuple flow,
+                                         std::function<void(Packet)> send) {
+  return std::make_unique<UdpCbrSource>(scheduler, cfg, flow, std::move(send));
+}
+
+std::unique_ptr<PacketSource> MakeSource(Scheduler* scheduler,
+                                         const TrafficSource::Config& cfg,
+                                         FiveTuple flow,
+                                         std::function<void(Packet)> send) {
+  return std::make_unique<TrafficSource>(scheduler, cfg, flow,
+                                         std::move(send));
+}
 
 std::span<const WifiMode> ModeTable(WifiStandard standard) {
   return standard == WifiStandard::k80211a ? Modes80211a() : Modes80211n();
@@ -76,6 +109,9 @@ Position PlaceClient(const ScenarioConfig& config, const ClientSpec& spec,
 }  // namespace
 
 ScenarioResult RunScenario(const ScenarioConfig& config) {
+  CHECK(config.proto == TransportProto::kUdp || !config.upload ||
+        config.traffic_mix.empty())
+      << "traffic_mix supports UDP or TCP download, not TCP upload";
   Scheduler scheduler;
   Random root_rng(config.seed);
 
@@ -111,7 +147,6 @@ ScenarioResult RunScenario(const ScenarioConfig& config) {
   ap_mac_cfg.extra_ack_timeout = config.extra_ack_timeout;
   ap_mac_cfg.rts_threshold = config.rts_threshold;
   ap_mac_cfg.legacy_nav_probe_events = config.legacy_nav_probe_events;
-  ap_mac_cfg.enable_cf_end = config.enable_cf_end;
   ap_mac_cfg.edca_enabled = config.edca_enabled;
   ap_mac_cfg.enable_rate_adaptation = config.rate_adaptation;
   ap_mac_cfg.rate_adapt = config.rate_adapt;
@@ -157,10 +192,6 @@ ScenarioResult RunScenario(const ScenarioConfig& config) {
   }
 
   std::vector<ClientEndpoint> clients(config.n_clients);
-  std::vector<std::unique_ptr<TcpSender>> server_senders;
-  std::vector<std::unique_ptr<TcpReceiver>> server_receivers;
-  std::vector<std::unique_ptr<UdpCbrSource>> udp_sources;
-  std::vector<std::unique_ptr<TrafficSource>> traffic_sources;
   // Enqueue→delivery latency over every UDP sink, keyed by each packet's
   // DSCP-derived AC. Pure recording (no events, no RNG), so wiring it
   // unconditionally cannot perturb legacy runs.
@@ -281,234 +312,123 @@ ScenarioResult RunScenario(const ScenarioConfig& config) {
   }
 
   // --- flows ------------------------------------------------------------------------
-  // Per-client handles the fault engine drives: the UDP source (stopped on
-  // crash, resumed on join) or the TCP sender (started late for stations
-  // that begin absent; established senders just ride out the outage on
-  // their own retransmit timers).
-  std::vector<UdpCbrSource*> client_udp_src(
-      static_cast<size_t>(config.n_clients), nullptr);
-  std::vector<TrafficSource*> client_traffic_src(
-      static_cast<size_t>(config.n_clients), nullptr);
-  std::vector<TcpSender*> client_tcp_src(
-      static_cast<size_t>(config.n_clients), nullptr);
-  std::vector<char> flow_started(static_cast<size_t>(config.n_clients), 0);
+  // The fault engine drives each station's packet source (stopped on crash,
+  // resumed on join) and TCP sender (started late for stations that begin
+  // absent; established senders ride out the outage on their own
+  // retransmit timers).
   int completed = 0;
+
+  // Station i's flow endpoints in the given direction.
+  auto flow_ends = [&](int i, bool uplink, uint16_t server_port,
+                       uint16_t client_port) {
+    Node* client = clients[i].node.get();
+    return uplink ? FlowEnds{client, client_port, server_node.get(),
+                             server_port}
+                  : FlowEnds{server_node.get(), server_port, client,
+                             client_port};
+  };
+  // Wires one UDP-ish flow of station i: the source on the sending node, a
+  // latency-recording sink behind the receiving port, and a start gated on
+  // the station being present.
+  auto wire_udp_flow = [&](int i, const FlowEnds& ends, const auto& src_cfg) {
+    ClientEndpoint& ep = clients[i];
+    ep.source = MakeSource(
+        &scheduler, src_cfg, ends.Tuple(kIpProtoUdp),
+        [node = ends.tx](Packet p) { node->Send(std::move(p)); });
+    ep.udp_sink = std::make_unique<UdpSink>(&scheduler);
+    ep.udp_sink->set_latency_recorder(&latency);
+    ends.rx->RegisterHandler(ends.rx_port,
+                             [sink = ep.udp_sink.get()](const Packet& p) {
+                               sink->OnPacket(p);
+                             });
+    if (present[static_cast<size_t>(i)]) {
+      ep.source->Start();
+    }
+  };
+  // Traffic-model flows draw per-flow seeds from a DeriveRunSeed index
+  // namespace of their own (namespace + i), so they never collide with
+  // campaign run indices derived from the same base seed.
+  auto traffic_config = [&](int i, uint64_t seed_namespace) {
+    TrafficSource::Config src_cfg;
+    src_cfg.model = ModelForStation(config.traffic_mix, static_cast<size_t>(i),
+                                    static_cast<size_t>(config.n_clients));
+    src_cfg.start = specs[i].start_offset;
+    src_cfg.stop = config.duration;
+    src_cfg.seed = DeriveRunSeed(config.seed,
+                                 seed_namespace + static_cast<uint64_t>(i));
+    src_cfg.rate_scale = config.traffic_rate_scale;
+    return src_cfg;
+  };
+
   for (int i = 0; i < config.n_clients; ++i) {
     ClientEndpoint& ep = clients[i];
-    uint16_t server_port = static_cast<uint16_t>(kServerPortBase + i);
-    uint16_t client_port = static_cast<uint16_t>(kClientPortBase + i);
-
-    if (config.proto == TransportProto::kUdp && !config.traffic_mix.empty()) {
-      // Traffic zoo: one modelled flow per client in place of the uniform
-      // CBR source. Per-flow seeds live in a dedicated DeriveRunSeed index
-      // namespace (2^32 + i), so they can never collide with campaign run
-      // indices derived from the same base seed.
-      TrafficSource::Config src_cfg;
-      src_cfg.model = ModelForStation(config.traffic_mix,
-                                      static_cast<size_t>(i),
-                                      static_cast<size_t>(config.n_clients));
-      src_cfg.start = specs[i].start_offset;
-      src_cfg.stop = config.duration;
-      src_cfg.seed = DeriveRunSeed(config.seed,
-                                   (uint64_t{1} << 32) +
-                                       static_cast<uint64_t>(i));
-      src_cfg.rate_scale = config.traffic_rate_scale;
-      ep.udp_sink = std::make_unique<UdpSink>(&scheduler);
-      ep.udp_sink->set_latency_recorder(&latency);
-      std::unique_ptr<TrafficSource> source;
-      if (!config.upload) {
-        FiveTuple flow{server_ip, client_ip(i), server_port, client_port,
-                       kIpProtoUdp};
-        source = std::make_unique<TrafficSource>(
-            &scheduler, src_cfg, flow,
-            [node = server_node.get()](Packet p) {
-              node->Send(std::move(p));
-            });
-        ep.node->RegisterHandler(client_port,
-                                 [sink = ep.udp_sink.get()](const Packet& p) {
-                                   sink->OnPacket(p);
-                                 });
-      } else {
-        FiveTuple flow{client_ip(i), server_ip, client_port, server_port,
-                       kIpProtoUdp};
-        source = std::make_unique<TrafficSource>(
-            &scheduler, src_cfg, flow,
-            [node = ep.node.get()](Packet p) { node->Send(std::move(p)); });
-        server_node->RegisterHandler(
-            server_port, [sink = ep.udp_sink.get()](const Packet& p) {
-              sink->OnPacket(p);
-            });
-      }
-      client_traffic_src[static_cast<size_t>(i)] = source.get();
-      if (present[static_cast<size_t>(i)]) {
-        source->Start();
-        flow_started[static_cast<size_t>(i)] = 1;
-      }
-      traffic_sources.push_back(std::move(source));
-      continue;
-    }
+    FlowEnds ends = flow_ends(i, config.upload,
+                              static_cast<uint16_t>(kServerPortBase + i),
+                              static_cast<uint16_t>(kClientPortBase + i));
 
     if (config.proto == TransportProto::kUdp) {
-      UdpCbrSource::Config src_cfg;
-      src_cfg.rate_bps = config.udp_rate_bps / config.n_clients;
-      src_cfg.payload_bytes = config.udp_payload_bytes;
-      src_cfg.start = specs[i].start_offset;
-      src_cfg.stop = config.duration;
-      src_cfg.burst_window = config.udp_burst_window;
-      if (!config.upload) {
-        FiveTuple flow{server_ip, client_ip(i), server_port, client_port,
-                       kIpProtoUdp};
-        auto source = std::make_unique<UdpCbrSource>(
-            &scheduler, src_cfg, flow,
-            [node = server_node.get()](Packet p) {
-              node->Send(std::move(p));
-            });
-        ep.udp_sink = std::make_unique<UdpSink>(&scheduler);
-        ep.udp_sink->set_latency_recorder(&latency);
-        ep.node->RegisterHandler(client_port,
-                                 [sink = ep.udp_sink.get()](const Packet& p) {
-                                   sink->OnPacket(p);
-                                 });
-        client_udp_src[static_cast<size_t>(i)] = source.get();
-        if (present[static_cast<size_t>(i)]) {
-          source->Start();
-          flow_started[static_cast<size_t>(i)] = 1;
-        }
-        udp_sources.push_back(std::move(source));
+      // Uplink: every client contends for the medium — the dense-cell
+      // collision workload RTS/CTS exists for. The sink then lives at the
+      // server but stays owned by the client endpoint, so collection is
+      // uniform across directions.
+      if (!config.traffic_mix.empty()) {
+        // Traffic zoo: one modelled flow per client in place of the
+        // uniform CBR source (seed namespace 2^32 + i).
+        wire_udp_flow(i, ends, traffic_config(i, uint64_t{1} << 32));
       } else {
-        // Uplink CBR: every client contends for the medium — the dense-cell
-        // collision workload RTS/CTS exists for. The per-flow sink lives at
-        // the server; it stays owned by the client endpoint so collection
-        // is uniform across directions.
-        FiveTuple flow{client_ip(i), server_ip, client_port, server_port,
-                       kIpProtoUdp};
-        auto source = std::make_unique<UdpCbrSource>(
-            &scheduler, src_cfg, flow,
-            [node = ep.node.get()](Packet p) { node->Send(std::move(p)); });
-        ep.udp_sink = std::make_unique<UdpSink>(&scheduler);
-        ep.udp_sink->set_latency_recorder(&latency);
-        server_node->RegisterHandler(
-            server_port, [sink = ep.udp_sink.get()](const Packet& p) {
-              sink->OnPacket(p);
-            });
-        client_udp_src[static_cast<size_t>(i)] = source.get();
-        if (present[static_cast<size_t>(i)]) {
-          source->Start();
-          flow_started[static_cast<size_t>(i)] = 1;
-        }
-        udp_sources.push_back(std::move(source));
+        UdpCbrSource::Config src_cfg;
+        src_cfg.rate_bps = config.udp_rate_bps / config.n_clients;
+        src_cfg.payload_bytes = config.udp_payload_bytes;
+        src_cfg.start = specs[i].start_offset;
+        src_cfg.stop = config.duration;
+        src_cfg.burst_window = config.udp_burst_window;
+        wire_udp_flow(i, ends, src_cfg);
       }
       continue;
     }
 
-    if (!config.traffic_mix.empty() && !config.upload) {
+    if (!config.traffic_mix.empty()) {
       // TCP + traffic mix: the TCP download keeps running, and each station
       // additionally sinks one modelled background flow from the AP side —
       // the HACK-vs-EDCA interaction workload (compressed-ACK batches
       // contending with tagged voice/video). Background flows live in their
-      // own port range (7000+i) and DeriveRunSeed namespace (2^33 + i), so
-      // neither the TCP ports nor the UDP-mix seed streams can collide.
-      TrafficSource::Config src_cfg;
-      src_cfg.model = ModelForStation(config.traffic_mix,
-                                      static_cast<size_t>(i),
-                                      static_cast<size_t>(config.n_clients));
-      src_cfg.start = specs[i].start_offset;
-      src_cfg.stop = config.duration;
-      src_cfg.seed = DeriveRunSeed(config.seed,
-                                   (uint64_t{1} << 33) +
-                                       static_cast<uint64_t>(i));
-      src_cfg.rate_scale = config.traffic_rate_scale;
-      uint16_t bg_port = static_cast<uint16_t>(7000 + i);
-      FiveTuple bg_flow{server_ip, client_ip(i), bg_port, bg_port,
-                        kIpProtoUdp};
-      auto source = std::make_unique<TrafficSource>(
-          &scheduler, src_cfg, bg_flow,
-          [node = server_node.get()](Packet p) { node->Send(std::move(p)); });
-      ep.udp_sink = std::make_unique<UdpSink>(&scheduler);
-      ep.udp_sink->set_latency_recorder(&latency);
-      ep.node->RegisterHandler(bg_port,
-                               [sink = ep.udp_sink.get()](const Packet& p) {
-                                 sink->OnPacket(p);
-                               });
-      client_traffic_src[static_cast<size_t>(i)] = source.get();
-      if (present[static_cast<size_t>(i)]) {
-        source->Start();
-      }
-      traffic_sources.push_back(std::move(source));
-      // Fall through: the TCP flow below is still the measured foreground.
-      // (flow_started tracks the TCP sender; background sources ride the
-      // fault engine's Stop/Resume independently.)
+      // own port range (7000+i) and seed namespace (2^33 + i), so neither
+      // the TCP ports nor the UDP-mix seed streams can collide.
+      auto bg_port = static_cast<uint16_t>(7000 + i);
+      wire_udp_flow(i, flow_ends(i, /*uplink=*/false, bg_port, bg_port),
+                    traffic_config(i, uint64_t{1} << 33));
     }
 
-    // TCP flow; direction depends on upload/download.
-    if (!config.upload) {
-      FiveTuple flow{server_ip, client_ip(i), server_port, client_port,
-                     kIpProtoTcp};
-      auto sender = std::make_unique<TcpSender>(
-          &scheduler, config.tcp, flow,
-          [node = server_node.get()](Packet p) { node->Send(std::move(p)); },
-          config.file_bytes);
-      ep.tcp_rx = std::make_unique<TcpReceiver>(
-          &scheduler, config.tcp, flow,
-          [node = ep.node.get()](Packet p) { node->Send(std::move(p)); });
-      ep.tcp_rx->on_data = [&ep, &scheduler](uint64_t bytes) {
-        ep.tracker.OnBytesDelivered(scheduler.Now(), bytes);
-      };
-      ep.node->RegisterHandler(
-          client_port,
-          [rx = ep.tcp_rx.get(), &ep, &record_tcp_latency](const Packet& p) {
-            record_tcp_latency(ep, p);
-            rx->OnPacket(p);
-          });
-      server_node->RegisterHandler(server_port,
-                                   [tx = sender.get()](const Packet& p) {
-                                     tx->OnPacket(p);
-                                   });
-      sender->on_complete = [&ep, &scheduler, &completed]() {
-        ep.completion = scheduler.Now();
-        ++completed;
-      };
-      client_tcp_src[static_cast<size_t>(i)] = sender.get();
-      if (present[static_cast<size_t>(i)]) {
-        scheduler.ScheduleAt(specs[i].start_offset,
-                             [tx = sender.get()]() { tx->Start(); });
-        flow_started[static_cast<size_t>(i)] = 1;
-      }
-      server_senders.push_back(std::move(sender));
-    } else {
-      FiveTuple flow{client_ip(i), server_ip, client_port, server_port,
-                     kIpProtoTcp};
-      ep.tcp_tx = std::make_unique<TcpSender>(
-          &scheduler, config.tcp, flow,
-          [node = ep.node.get()](Packet p) { node->Send(std::move(p)); },
-          config.file_bytes);
-      auto receiver = std::make_unique<TcpReceiver>(
-          &scheduler, config.tcp, flow,
-          [node = server_node.get()](Packet p) { node->Send(std::move(p)); });
-      receiver->on_data = [&ep, &scheduler](uint64_t bytes) {
-        ep.tracker.OnBytesDelivered(scheduler.Now(), bytes);
-      };
-      server_node->RegisterHandler(
-          server_port,
-          [rx = receiver.get(), &ep, &record_tcp_latency](const Packet& p) {
-            record_tcp_latency(ep, p);
-            rx->OnPacket(p);
-          });
-      ep.node->RegisterHandler(client_port,
-                               [tx = ep.tcp_tx.get()](const Packet& p) {
-                                 tx->OnPacket(p);
-                               });
-      ep.tcp_tx->on_complete = [&ep, &scheduler, &completed]() {
-        ep.completion = scheduler.Now();
-        ++completed;
-      };
-      client_tcp_src[static_cast<size_t>(i)] = ep.tcp_tx.get();
-      if (present[static_cast<size_t>(i)]) {
-        scheduler.ScheduleAt(specs[i].start_offset,
-                             [tx = ep.tcp_tx.get()]() { tx->Start(); });
-        flow_started[static_cast<size_t>(i)] = 1;
-      }
-      server_receivers.push_back(std::move(receiver));
+    // The measured TCP flow, from the server on download and from the
+    // client on upload.
+    ep.tcp_tx = std::make_unique<TcpSender>(
+        &scheduler, config.tcp, ends.Tuple(kIpProtoTcp),
+        [node = ends.tx](Packet p) { node->Send(std::move(p)); },
+        config.file_bytes);
+    ep.tcp_rx = std::make_unique<TcpReceiver>(
+        &scheduler, config.tcp, ends.Tuple(kIpProtoTcp),
+        [node = ends.rx](Packet p) { node->Send(std::move(p)); });
+    ep.tcp_rx->on_data = [&ep, &scheduler](uint64_t bytes) {
+      ep.tracker.OnBytesDelivered(scheduler.Now(), bytes);
+    };
+    ends.rx->RegisterHandler(
+        ends.rx_port,
+        [rx = ep.tcp_rx.get(), &ep, &record_tcp_latency](const Packet& p) {
+          record_tcp_latency(ep, p);
+          rx->OnPacket(p);
+        });
+    ends.tx->RegisterHandler(ends.tx_port,
+                             [tx = ep.tcp_tx.get()](const Packet& p) {
+                               tx->OnPacket(p);
+                             });
+    ep.tcp_tx->on_complete = [&ep, &scheduler, &completed]() {
+      ep.completion = scheduler.Now();
+      ++completed;
+    };
+    if (present[static_cast<size_t>(i)]) {
+      scheduler.ScheduleAt(specs[i].start_offset,
+                           [tx = ep.tcp_tx.get()]() { tx->Start(); });
+      ep.tcp_started = true;
     }
   }
 
@@ -550,11 +470,8 @@ ScenarioResult RunScenario(const ScenarioConfig& config) {
             // feeding the dead-peer flush).
             ++fault_stats.crashes;
           }
-          if (client_udp_src[s] != nullptr) {
-            client_udp_src[s]->Stop();
-          }
-          if (client_traffic_src[s] != nullptr) {
-            client_traffic_src[s]->Stop();
+          if (clients[s].source != nullptr) {
+            clients[s].source->Stop();
           }
           clients[s].device->phy().SetRadioOn(false);
           clients[s].device->mac().ResetRadioState();
@@ -572,19 +489,14 @@ ScenarioResult RunScenario(const ScenarioConfig& config) {
           ap_device->mac().Associate(client_mac_addr(ev.station));
           clients[s].device->mac().Associate(ap_mac_addr);
           // Independent ifs, not an else-chain: a TCP+mix station owns both
-          // a background TrafficSource (resumed) and a TCP sender (started
-          // once). For legacy configs the source kinds are mutually
-          // exclusive, so this is the same sequence of calls as before.
-          if (client_udp_src[s] != nullptr) {
-            client_udp_src[s]->Resume(scheduler.Now(), config.duration);
+          // a background source (resumed) and a TCP sender (started once).
+          if (clients[s].source != nullptr) {
+            clients[s].source->Resume(scheduler.Now(), config.duration);
           }
-          if (client_traffic_src[s] != nullptr) {
-            client_traffic_src[s]->Resume(scheduler.Now(), config.duration);
+          if (clients[s].tcp_tx != nullptr && !clients[s].tcp_started) {
+            clients[s].tcp_tx->Start();
+            clients[s].tcp_started = true;
           }
-          if (client_tcp_src[s] != nullptr && !flow_started[s]) {
-            client_tcp_src[s]->Start();
-          }
-          flow_started[s] = 1;
           break;
         }
         case FaultType::kRadioReset: {
@@ -736,23 +648,18 @@ ScenarioResult RunScenario(const ScenarioConfig& config) {
       cr.hack = ep.device->hack()->stats();
       result.crc_failures += cr.hack.crc_failures_at_ap;
     }
-    if (ep.tcp_rx != nullptr) {
-      cr.tcp_rx = ep.tcp_rx->stats();
-    }
     if (ep.tcp_tx != nullptr) {
-      cr.tcp_tx = ep.tcp_tx->stats();
+      // Only the client's own end of the flow is reported.
+      if (config.upload) {
+        cr.tcp_tx = ep.tcp_tx->stats();
+      } else {
+        cr.tcp_rx = ep.tcp_rx->stats();
+      }
+      result.tcp_timeouts += ep.tcp_tx->stats().timeouts;
     }
     result.aggregate_goodput_mbps += cr.goodput_mbps;
     result.steady_aggregate_goodput_mbps += cr.steady_goodput_mbps;
     result.clients.push_back(std::move(cr));
-  }
-  for (const auto& s : server_senders) {
-    result.tcp_timeouts += s->stats().timeouts;
-  }
-  for (int i = 0; i < config.n_clients; ++i) {
-    if (clients[i].tcp_tx != nullptr) {
-      result.tcp_timeouts += clients[i].tcp_tx->stats().timeouts;
-    }
   }
 
   result.fault = fault_stats;

@@ -115,8 +115,9 @@ struct ScenarioConfig {
   // TrafficSource whose model comes from ModelForStation over these
   // fractions. TCP download scenarios: non-empty keeps the TCP flows AND
   // adds one background TrafficSource per station (AP -> client, its own
-  // port/seed namespace) — the HACK-vs-EDCA interaction workload. Each flow
-  // owns a DeriveRunSeed-derived RNG stream.
+  // port/seed namespace) — the HACK-vs-EDCA interaction workload. TCP
+  // upload with a mix is rejected. Each flow owns a DeriveRunSeed-derived
+  // RNG stream.
   std::vector<TrafficMixEntry> traffic_mix;
   // Scales every traffic-model flow's offered load (TrafficSource::Config::
   // rate_scale); 1.0 = the models' natural rates.
@@ -125,17 +126,15 @@ struct ScenarioConfig {
   TcpConfig tcp;
   uint32_t udp_payload_bytes = 1472;
   double udp_rate_bps = 250e6;
-  // Token-bucket pacing window for the UDP CBR sources: one refill event
-  // per window instead of one event per packet (UdpCbrSource::Config).
-  // Zero (default) keeps the classic per-packet chain bit-identical.
+  // Token-bucket window for the UDP CBR sources (UdpCbrSource::Config):
+  // one refill event releases the packets of every tick accrued in it.
+  // Zero (default) is a burst of 1: one event per packet, at its tick.
   SimTime udp_burst_window;
 
   // NAV-reset probes as armed per-overhearer events (the historical form)
   // instead of the default coalesced provisional deadline. Only the
   // equivalence tests should turn this on — see WifiMacConfig.
   bool legacy_nav_probe_events = false;
-  // CF-End truncation after CTS timeouts on every MAC (WifiMacConfig).
-  bool enable_cf_end = false;
 
   HackAgentConfig hack_config;  // variant is overwritten from `hack`
   uint64_t seed = 1;

@@ -99,10 +99,8 @@ std::optional<TrafficModel> ParseTrafficModel(std::string_view name) {
 
 TrafficSource::TrafficSource(Scheduler* scheduler, Config config,
                              FiveTuple flow, std::function<void(Packet)> send)
-    : scheduler_(scheduler),
+    : PacketSource(scheduler, flow, config.stop, std::move(send)),
       config_(config),
-      flow_(flow),
-      send_(std::move(send)),
       rng_(config.seed),
       tos_(TosForModel(config.model)) {
   CHECK_GT(config_.rate_scale, 0.0);
@@ -133,45 +131,22 @@ void TrafficSource::Start() {
   ArmTick(first);
 }
 
-void TrafficSource::Stop() {
-  config_.stop = scheduler_->Now();
-  ++epoch_;  // the pending Tick carries the old epoch and dies on arrival
+void TrafficSource::Restart(SimTime from) {
   video_on_until_ = SimTime::Zero();
-}
-
-void TrafficSource::Resume(SimTime at, SimTime stop) {
-  ++epoch_;
-  config_.stop = stop;
-  video_on_until_ = SimTime::Zero();
-  ArmTick(std::max(at, scheduler_->Now()));
+  ArmTick(from);
 }
 
 void TrafficSource::ArmTick(SimTime at) {
-  if (at >= config_.stop) {
-    return;
+  if (at < stop_) {
+    Arm(at);
   }
-  scheduler_->ScheduleAt(at, [this, epoch = epoch_]() { Tick(epoch); },
-                         EventClass::kTransportTimer);
 }
 
-void TrafficSource::EmitOne(uint32_t payload_bytes) {
-  Packet p = Packet::MakeUdp(flow_.src_ip, flow_.dst_ip, flow_.src_port,
-                             flow_.dst_port, payload_bytes);
-  p.mutable_ip().tos = tos_;
-  p.set_created_at(scheduler_->Now());
-  send_(std::move(p));
-  ++packets_sent_;
-  bytes_sent_ += payload_bytes;
-}
-
-void TrafficSource::Tick(uint64_t epoch) {
-  if (epoch != epoch_ || scheduler_->Now() >= config_.stop) {
-    return;
-  }
+void TrafficSource::Step() {
   SimTime now = scheduler_->Now();
   switch (config_.model) {
     case TrafficModel::kCbrVoice: {
-      EmitOne(kVoiceBytes);
+      Emit(kVoiceBytes, tos_);
       ArmTick(now + Scaled(kVoiceInterval));
       return;
     }
@@ -183,7 +158,7 @@ void TrafficSource::Tick(uint64_t epoch) {
             now + Scaled(SimTime::FromSecondsF(
                       rng_.NextExponential(kVideoOnMeanSec)));
       }
-      EmitOne(kVideoBytes);
+      Emit(kVideoBytes, tos_);
       SimTime next = now + kVideoFrameInterval;
       if (next >= video_on_until_) {
         // Burst over: go silent for an exponential OFF period.
@@ -209,7 +184,7 @@ void TrafficSource::Tick(uint64_t epoch) {
       while (remaining > 0) {
         uint32_t chunk = static_cast<uint32_t>(
             std::min<uint64_t>(remaining, kWebPacketBytes));
-        EmitOne(chunk);
+        Emit(chunk, tos_);
         remaining -= chunk;
       }
       ArmTick(now + Scaled(SimTime::FromSecondsF(
@@ -219,7 +194,7 @@ void TrafficSource::Tick(uint64_t epoch) {
     case TrafficModel::kIotChirp: {
       uint64_t burst = 1 + rng_.NextBounded(kIotMaxPacketsPerChirp);
       for (uint64_t i = 0; i < burst; ++i) {
-        EmitOne(kIotBytes);
+        Emit(kIotBytes, tos_);
       }
       ArmTick(now + Scaled(SimTime::FromSecondsF(
                        rng_.NextExponential(kIotGapMeanSec))));

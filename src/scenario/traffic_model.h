@@ -29,10 +29,8 @@
 #include <string_view>
 #include <vector>
 
-#include "src/net/address.h"
-#include "src/packet/packet.h"
+#include "src/apps/packet_source.h"
 #include "src/sim/random.h"
-#include "src/sim/scheduler.h"
 
 namespace hacksim {
 
@@ -64,10 +62,9 @@ const char* TrafficModelName(TrafficModel model);
 // prints, lowercased); nullopt on anything else.
 std::optional<TrafficModel> ParseTrafficModel(std::string_view name);
 
-// A single flow of one model. Emission is a self-rescheduling event chain
-// with the same epoch-stranding Stop()/Resume() contract as UdpCbrSource,
-// so the fault-injection engine can drive it identically.
-class TrafficSource {
+// A single flow of one model: a self-rescheduling step schedule under the
+// PacketSource Start/Stop/Resume contract.
+class TrafficSource : public PacketSource {
  public:
   struct Config {
     TrafficModel model = TrafficModel::kParetoWeb;
@@ -83,30 +80,20 @@ class TrafficSource {
   TrafficSource(Scheduler* scheduler, Config config, FiveTuple flow,
                 std::function<void(Packet)> send);
 
-  void Start();
-  void Stop();
-  void Resume(SimTime at, SimTime stop = SimTime::Max());
+  void Start() override;
 
-  uint64_t packets_sent() const { return packets_sent_; }
-  uint64_t bytes_sent() const { return bytes_sent_; }
   uint8_t tos() const { return tos_; }
 
  private:
-  // One scheduled step of the model's chain; re-arms itself until stop.
-  void Tick(uint64_t epoch);
+  // One step of the model's schedule; re-arms itself until stop.
+  void Step() override;
+  void Restart(SimTime from) override;
   void ArmTick(SimTime at);
-  void EmitOne(uint32_t payload_bytes);
   SimTime Scaled(SimTime t) const;
 
-  Scheduler* scheduler_;
   Config config_;
-  FiveTuple flow_;
-  std::function<void(Packet)> send_;
   Random rng_;
   uint8_t tos_;
-  uint64_t packets_sent_ = 0;
-  uint64_t bytes_sent_ = 0;
-  uint64_t epoch_ = 0;
   // kOnOffVideo state: end of the current ON burst; zero while OFF.
   SimTime video_on_until_;
 };

@@ -143,5 +143,32 @@ TEST(FlowWiringPin, ChurnCellsHitTheGoldenValues) {
   }
 }
 
+// Each client reports its own end of its TCP flow: the receiver on
+// download, the sender on upload; the server's end stays unreported.
+TEST(FlowWiringPin, ClientsReportTheirOwnTcpEnd) {
+  for (bool upload : {false, true}) {
+    ScenarioResult r =
+        RunScenario(BaseConfig(TransportProto::kTcp, upload));
+    for (const ClientResult& cr : r.clients) {
+      if (upload) {
+        EXPECT_GT(cr.tcp_tx.bytes_sent, 0u);
+        EXPECT_EQ(cr.tcp_rx, TcpReceiverStats{});
+      } else {
+        EXPECT_EQ(cr.tcp_rx.bytes_delivered, cr.bytes_delivered);
+        EXPECT_GT(cr.tcp_rx.bytes_delivered, 0u);
+        EXPECT_EQ(cr.tcp_tx, TcpSenderStats{});
+      }
+    }
+  }
+}
+
+// TCP upload carries no background flows: RunScenario rejects a traffic mix
+// there instead of silently dropping it.
+TEST(FlowWiringDeathTest, TcpUploadWithTrafficMixIsRejected) {
+  ScenarioConfig c = BaseConfig(TransportProto::kTcp, /*upload=*/true);
+  AddMix(c);
+  EXPECT_DEATH(RunScenario(c), "traffic_mix supports UDP or TCP download");
+}
+
 }  // namespace
 }  // namespace hacksim

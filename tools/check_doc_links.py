@@ -9,18 +9,22 @@ docs/) unbroken as files move.
 
 Second check: every `--flag` of a `hacksim_run` invocation inside a fenced
 code block in README.md or docs/*.md must be a flag that
-tools/hacksim_run.cc parses. The flag table is read statically from the
-parser's `ParseFlag(argv[i], "name", ...)` and
-`std::strcmp(argv[i], "--name")` calls, so no build is needed.
+tools/hacksim_run.cc parses, and every value given to an enumerated flag
+(`--proto`, `--standard`, `--hack`, `--topology`) must be one the runner
+accepts. The flag table is read statically from the parser's
+`ParseFlag(argv[i], "name", ...)` and `std::strcmp(argv[i], "--name")`
+calls, and the accepted values from its `Choose<T>("name", ...)` tables,
+so no build is needed.
 
 Usage: python3 tools/check_doc_links.py [repo_root]
-Exit 0 if every relative link resolves and every documented flag exists,
-1 otherwise (one line per dead link or unknown flag: file, line, target).
+Exit 0 if every relative link resolves and every documented flag and
+enumerated value exists, 1 otherwise (one line per dead link, unknown flag
+or unknown value: file, line, target).
 
 python3 tools/check_doc_links.py --self-test exercises both branches of
-both checks on synthetic trees (a clean tree must pass; a dead link, and
-separately a bogus hacksim_run flag, must each fail) and exits 0 iff all
-behave.
+every check on synthetic trees (a clean tree must pass; a dead link, a
+bogus hacksim_run flag and a bogus enumerated value must each fail) and
+exits 0 iff all behave.
 """
 
 import pathlib
@@ -38,6 +42,10 @@ SKIP_SCHEMES = ("http://", "https://", "mailto:", "#")
 PARSE_FLAG_RE = re.compile(r'ParseFlag\(argv\[i\], "([a-z0-9-]+)"')
 SWITCH_RE = re.compile(r'strcmp\(argv\[i\], "(--[a-z0-9-]+)"\)')
 DOC_FLAG_RE = re.compile(r"(?<![\w-])(--[a-z][a-z0-9-]*)")
+# Enumerated flags: Choose<T>("name", flags.name, {{"value", ...}, ...});
+CHOOSE_RE = re.compile(r'Choose<[^>]*>\(\s*"([a-z0-9-]+)",(.*?)\);', re.S)
+CHOICE_RE = re.compile(r'\{"([^"]+)",')
+DOC_VALUE_RE = re.compile(r"(?<![\w-])(--[a-z][a-z0-9-]*)=([^\s'\"]+)")
 
 
 def doc_files(root: pathlib.Path):
@@ -52,6 +60,13 @@ def runner_flags(root: pathlib.Path):
     src = (root / "tools" / "hacksim_run.cc").read_text(encoding="utf-8")
     return ({"--" + name for name in PARSE_FLAG_RE.findall(src)}
             | set(SWITCH_RE.findall(src)))
+
+
+def runner_choices(root: pathlib.Path):
+    """{"--flag": {accepted values}} for the runner's enumerated flags."""
+    src = (root / "tools" / "hacksim_run.cc").read_text(encoding="utf-8")
+    return {"--" + name: set(CHOICE_RE.findall(body))
+            for name, body in CHOOSE_RE.findall(src)}
 
 
 def hacksim_run_invocations(text: str):
@@ -83,7 +98,9 @@ def hacksim_run_invocations(text: str):
 
 def check_flags(root: pathlib.Path) -> int:
     known = runner_flags(root)
+    choices = runner_choices(root)
     unknown = []
+    bad_values = []
     checked = 0
     docs = [root / "README.md"] + sorted((root / "docs").glob("*.md"))
     for doc in docs:
@@ -95,14 +112,22 @@ def check_flags(root: pathlib.Path) -> int:
                 checked += 1
                 if flag not in known:
                     unknown.append((doc.relative_to(root), lineno, flag))
+            for flag, value in DOC_VALUE_RE.findall(command):
+                if flag in choices and value not in choices[flag]:
+                    bad_values.append(
+                        (doc.relative_to(root), lineno, f"{flag}={value}"))
     for doc, lineno, flag in unknown:
         print(f"UNKNOWN FLAG {doc}:{lineno}: hacksim_run {flag}")
+    for doc, lineno, arg in bad_values:
+        print(f"UNKNOWN VALUE {doc}:{lineno}: hacksim_run {arg}")
+    failed = unknown or bad_values
     print(
         f"doc flag check: {checked} hacksim_run flags against "
-        f"{len(known)} known, {len(unknown)} unknown"
-        + (" — FAILED" if unknown else "")
+        f"{len(known)} known, {len(unknown)} unknown; "
+        f"{len(bad_values)} unknown values of {len(choices)} enumerated flags"
+        + (" — FAILED" if failed else "")
     )
-    return 1 if unknown else 0
+    return 1 if failed else 0
 
 
 def check(root: pathlib.Path) -> int:
@@ -134,8 +159,8 @@ def check(root: pathlib.Path) -> int:
 
 
 def self_test() -> int:
-    """Both branches of both checks on synthetic trees: clean → 0, dead
-    link → 1, bogus hacksim_run flag → 1."""
+    """Both branches of every check on synthetic trees: clean → 0, dead
+    link → 1, bogus hacksim_run flag → 1, bogus enumerated value → 1."""
     import tempfile
 
     ok = True
@@ -145,13 +170,25 @@ def self_test() -> int:
         (root / "tools").mkdir()
         (root / "tools" / "hacksim_run.cc").write_text(
             'if (ParseFlag(argv[i], "clients", &value)) {\n'
-            '} else if (std::strcmp(argv[i], "--upload") == 0) {\n',
+            '} else if (ParseFlag(argv[i], "proto", &value)) {\n'
+            '} else if (std::strcmp(argv[i], "--upload") == 0) {\n'
+            'config.proto = Choose<TransportProto>(\n'
+            '    "proto", flags.proto,\n'
+            '    {{"tcp", TransportProto::kTcp}, {"udp", TransportProto::kUdp}});\n',
             encoding="utf-8")
         (root / "docs" / "cli.md").write_text(
-            "```\nhacksim_run --clients=2 \\\n    --upload  # comment\n"
-            "campaign --jobs=4\n```\n", encoding="utf-8")
+            "```\nhacksim_run --clients=2 --proto=udp \\\n"
+            "    --upload  # comment\n"
+            "campaign --jobs=4 --proto=bogus\n```\n", encoding="utf-8")
         if check_flags(root) != 0:
-            print("self-test FAIL: documented flags that exist did not pass")
+            print("self-test FAIL: documented flags and values that exist "
+                  "did not pass")
+            ok = False
+        (root / "docs" / "cli.md").write_text(
+            "```\nhacksim_run --clients=2 \\\n    --proto=sctp\n```\n",
+            encoding="utf-8")
+        if check_flags(root) != 1:
+            print("self-test FAIL: a bogus enumerated value did not fail")
             ok = False
         (root / "docs" / "cli.md").write_text(
             "```\nhacksim_run --clients=2 \\\n    --stations=2\n```\n",

@@ -10,7 +10,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <string>
+#include <utility>
 
 #include "src/scenario/download_scenario.h"
 
@@ -218,23 +220,18 @@ bool ParseTrafficMix(const std::string& text,
   return !mix->empty();
 }
 
-HackVariant VariantFromName(const std::string& name) {
-  if (name == "off") {
-    return HackVariant::kOff;
+// The option an enumerated flag's value selects; an unknown value is a flag
+// error (exit 2). tools/check_doc_links.py reads the accepted values from
+// these Choose() tables.
+template <typename T>
+T Choose(const char* flag, const std::string& value,
+         std::initializer_list<std::pair<const char*, T>> choices) {
+  for (const auto& [name, option] : choices) {
+    if (value == name) {
+      return option;
+    }
   }
-  if (name == "more-data") {
-    return HackVariant::kMoreData;
-  }
-  if (name == "opportunistic") {
-    return HackVariant::kOpportunistic;
-  }
-  if (name == "timer") {
-    return HackVariant::kExplicitTimer;
-  }
-  if (name == "ts-echo") {
-    return HackVariant::kTimestampEcho;
-  }
-  std::fprintf(stderr, "unknown --hack value: %s\n", name.c_str());
+  std::fprintf(stderr, "unknown --%s value: %s\n", flag, value.c_str());
   std::exit(2);
 }
 
@@ -248,11 +245,22 @@ int main(int argc, char** argv) {
   }
 
   ScenarioConfig config;
-  config.standard = flags.standard == "a" ? WifiStandard::k80211a
-                                          : WifiStandard::k80211n;
+  config.standard = Choose<WifiStandard>(
+      "standard", flags.standard,
+      {{"a", WifiStandard::k80211a}, {"n", WifiStandard::k80211n}});
   config.data_rate_mbps = flags.rate;
+  if (flags.clients < 1) {
+    std::fprintf(stderr, "--clients must be >= 1\n");
+    return 2;
+  }
   config.n_clients = flags.clients;
-  config.hack = VariantFromName(flags.hack);
+  config.hack = Choose<HackVariant>(
+      "hack", flags.hack,
+      {{"off", HackVariant::kOff},
+       {"more-data", HackVariant::kMoreData},
+       {"opportunistic", HackVariant::kOpportunistic},
+       {"timer", HackVariant::kExplicitTimer},
+       {"ts-echo", HackVariant::kTimestampEcho}});
   if (flags.hack_ack_window_us < 0) {
     std::fprintf(stderr, "--hack-ack-window must be >= 0\n");
     return 2;
@@ -274,8 +282,9 @@ int main(int argc, char** argv) {
       SimTime::Micros(flags.hack_ack_window_us);
   config.hack_config.ack_policy.flush_count =
       static_cast<size_t>(flags.hack_ack_count);
-  config.proto =
-      flags.proto == "udp" ? TransportProto::kUdp : TransportProto::kTcp;
+  config.proto = Choose<TransportProto>(
+      "proto", flags.proto,
+      {{"tcp", TransportProto::kTcp}, {"udp", TransportProto::kUdp}});
   config.duration = SimTime::FromSecondsF(flags.seconds);
   config.start_stagger = SimTime::FromSecondsF(flags.stagger_ms / 1000.0);
   config.file_bytes = flags.file_mb * 1'000'000;
@@ -300,16 +309,13 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  if (flags.topology == "disk") {
-    config.topology = Topology::kUniformDisk;
+  config.topology = Choose<Topology>(
+      "topology", flags.topology,
+      {{"ring", Topology::kRing},
+       {"disk", Topology::kUniformDisk},
+       {"hidden", Topology::kTwoClusterHidden}});
+  if (config.topology != Topology::kRing) {
     config.propagation = LogDistancePropagation::Params{};
-  } else if (flags.topology == "hidden") {
-    config.topology = Topology::kTwoClusterHidden;
-    config.propagation = LogDistancePropagation::Params{};
-  } else if (flags.topology != "ring") {
-    std::fprintf(stderr, "unknown --topology value: %s\n",
-                 flags.topology.c_str());
-    return 2;
   }
   if (config.standard == WifiStandard::k80211a) {
     config.tcp.mss = 1448;
