@@ -1,7 +1,8 @@
 // EDCA tests: per-AC parameter table, pick-for-pick grant timing against a
 // reference model, VO-beats-BK grant ordering, virtual-collision re-draw,
 // per-AC TXOP sizing, MAC-level internal contention, the whole-scenario
-// edca_enabled=false bit-identity pin, and a voice-vs-web priority smoke.
+// edca_enabled=false bit-identity pin, the EDCA on/off equivalence on
+// all-BE workloads, and a voice-vs-web priority smoke.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -271,6 +272,103 @@ TEST(EdcaBitIdentityPin, EdcaOffHitsTheLegacyGoldenValues) {
   EXPECT_EQ(r.ap_mac.virtual_collisions, 0u);
   for (uint8_t ac = 0; ac < kNumAcs; ++ac) {
     EXPECT_EQ(r.ap_mac.ac_ppdus_sent[ac], 0u) << kAcNames[ac];
+  }
+}
+
+// EDCA off is EDCA with one access category: on an all-BE workload the
+// per-AC path with all four engines must behave exactly like the MAC built
+// with the BE engine alone — same results (ac_ppdus_sent, which only counts
+// under EDCA, aside) and the same number of executed events. One cell per
+// feature that touches contention: TCP, HACK with and without batched ACKs,
+// UDP both ways, hidden clusters with RTS/CTS and rate adaptation, churn
+// under the watchdog, and the 802.11a SoRa pair.
+ScenarioConfig AllBeCell(TransportProto proto, HackVariant hack) {
+  ScenarioConfig c;
+  c.standard = WifiStandard::k80211n;
+  c.data_rate_mbps = 150.0;
+  c.n_clients = 3;
+  c.proto = proto;
+  c.hack = hack;
+  c.duration = SimTime::Millis(500);
+  c.start_stagger = SimTime::Millis(20);
+  c.seed = 7;
+  return c;
+}
+
+void ZeroAcCounters(ScenarioResult& r) {
+  r.ap_mac.ac_ppdus_sent = {};
+  for (ClientResult& client : r.clients) {
+    client.mac.ac_ppdus_sent = {};
+  }
+}
+
+TEST(EdcaEquivalencePin, AllBeWorkloadsMatchWithEdcaOnAndOff) {
+  struct Cell {
+    const char* name;
+    ScenarioConfig config;
+  };
+  std::vector<Cell> cells;
+  cells.push_back({"tcp", AllBeCell(TransportProto::kTcp, HackVariant::kOff)});
+  cells.push_back(
+      {"tcp+hack", AllBeCell(TransportProto::kTcp, HackVariant::kMoreData)});
+  {
+    ScenarioConfig c = AllBeCell(TransportProto::kTcp, HackVariant::kMoreData);
+    c.hack_config.ack_policy.flush_window = SimTime::Millis(1);
+    cells.push_back({"tcp+hack batched", c});
+  }
+  cells.push_back(
+      {"udp down", AllBeCell(TransportProto::kUdp, HackVariant::kOff)});
+  {
+    ScenarioConfig c = AllBeCell(TransportProto::kUdp, HackVariant::kOff);
+    c.upload = true;
+    c.udp_burst_window = SimTime::Millis(16);
+    cells.push_back({"udp up paced", c});
+  }
+  {
+    ScenarioConfig c = AllBeCell(TransportProto::kUdp, HackVariant::kOff);
+    c.n_clients = 100;
+    c.upload = true;
+    c.udp_burst_window = SimTime::Millis(16);
+    c.start_stagger = SimTime::Millis(1);
+    c.topology = Topology::kTwoClusterHidden;
+    c.propagation = LogDistancePropagation::Params{};
+    c.rts_threshold = 500;
+    c.rate_adaptation = true;
+    cells.push_back({"hidden clusters", c});
+  }
+  {
+    ScenarioConfig c = AllBeCell(TransportProto::kTcp, HackVariant::kMoreData);
+    c.n_clients = 6;
+    c.fault_plan = FaultPlan::Churn(c.n_clients, c.duration);
+    c.watchdog_interval = SimTime::Millis(10);
+    cells.push_back({"churn", c});
+  }
+  {
+    ScenarioConfig c = AllBeCell(TransportProto::kTcp, HackVariant::kMoreData);
+    c.standard = WifiStandard::k80211a;
+    c.data_rate_mbps = 54.0;
+    c.n_clients = 2;
+    c.tcp.mss = 1448;
+    c.extra_ack_delay = SimTime::Micros(37);
+    c.extra_ack_timeout = SimTime::Micros(80);
+    c.clients.resize(2);
+    c.clients[0].bernoulli_data_loss = 0.02;
+    c.clients[1].bernoulli_data_loss = 0.01;
+    cells.push_back({"sora pair", c});
+  }
+
+  for (const Cell& cell : cells) {
+    ScenarioConfig on_cfg = cell.config;
+    on_cfg.edca_enabled = true;
+    ScenarioResult off = RunScenario(cell.config);
+    ScenarioResult on = RunScenario(on_cfg);
+    EXPECT_GT(on.airtime.ppdus, 0u) << cell.name;
+    EXPECT_EQ(on.ap_mac.virtual_collisions, 0u) << cell.name;
+    ZeroAcCounters(on);
+    EXPECT_TRUE(on.BehaviourEquals(off))
+        << cell.name << ": goodput on " << on.aggregate_goodput_mbps
+        << " off " << off.aggregate_goodput_mbps;
+    EXPECT_EQ(on.events_executed, off.events_executed) << cell.name;
   }
 }
 
