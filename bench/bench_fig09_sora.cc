@@ -17,7 +17,6 @@ ScenarioConfig SoraConfig(int n_clients, uint64_t seed) {
   c.duration = RunSeconds(10);  // paper: 120 s runs (scaled for bench time)
   c.seed = seed;
   c.tcp.mss = 1448;  // 1500 B MTU with timestamps
-  c.udp_payload_bytes = 1472;
   c.extra_ack_delay = SimTime::Micros(37);
   c.extra_ack_timeout = SimTime::Micros(80);
   c.clients.resize(n_clients);

@@ -16,7 +16,6 @@ ScenarioConfig SoraConfig(int n_clients, uint64_t seed) {
   c.duration = RunSeconds(10);
   c.seed = seed;
   c.tcp.mss = 1448;
-  c.udp_payload_bytes = 1472;
   c.extra_ack_delay = SimTime::Micros(37);
   c.extra_ack_timeout = SimTime::Micros(80);
   c.clients.resize(n_clients);

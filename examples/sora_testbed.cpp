@@ -15,7 +15,6 @@ int main() {
   config.n_clients = 2;
   config.duration = SimTime::Seconds(5);
   config.tcp.mss = 1448;
-  config.udp_payload_bytes = 1472;
   config.extra_ack_delay = SimTime::Micros(37);
   config.extra_ack_timeout = SimTime::Micros(80);
   config.clients.resize(2);

@@ -61,8 +61,8 @@ enum class HackVariant {
 //   * the peer's MORE DATA bit falls (flush_on_more_data_edge): its burst is
 //     over, so the upcoming final LL ACK is the last free ride.
 // flush_window == 0 (the default) disables the policy entirely: no held
-// flags, no timers, no counters — bit-identical to the pre-policy agent,
-// pinned the same way edca_enabled=false is (docs/hack.md).
+// flags, no timers, no counters — bit-identical to the pre-policy agent
+// (docs/hack.md).
 struct HackAckPolicy {
   SimTime flush_window;
   size_t flush_count = 0;

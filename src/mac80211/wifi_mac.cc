@@ -33,22 +33,16 @@ SimTime PayloadAirtime(const Ppdu& ppdu) {
       bytes * 8 * 1'000'000 / ppdu.mode.rate_kbps));
 }
 
+// Retry ladders: data MPDUs are dropped past this many retransmissions, and
+// a Block ACK agreement is given up past this many unanswered BARs.
+constexpr int kMpduRetryLimit = 7;
+constexpr int kBarRetryLimit = 7;
+
+// Access-category sets, highest priority first (see WifiMac::acs_).
+constexpr uint8_t kEdcaAcs[] = {kAcVo, kAcVi, kAcBe, kAcBk};
+constexpr uint8_t kBeOnly[] = {kAcBe};
+
 }  // namespace
-
-// --- EDCA parameter table -----------------------------------------------------
-
-std::array<EdcaAcParams, kNumAcs> DefaultEdcaTable() {
-  std::array<EdcaAcParams, kNumAcs> table{};
-  table[kAcVo] = EdcaAcParams{2, 3, 7, SimTime::Micros(1504)};
-  table[kAcVi] = EdcaAcParams{2, 7, 15, SimTime::Micros(3008)};
-  // BE mirrors the base PhyTimings (aifsn 3 == DIFS for 11n, CW 15/1023);
-  // informational only — dcf_ is the BE engine and reads PhyTimings
-  // directly, which is what pins legacy behaviour. Zero TXOP rows fall
-  // back to WifiMacConfig::txop_limit.
-  table[kAcBe] = EdcaAcParams{3, 15, 1023, SimTime::Zero()};
-  table[kAcBk] = EdcaAcParams{7, 15, 1023, SimTime::Zero()};
-  return table;
-}
 
 uint8_t ClassifyAc(const Packet& packet) {
   return packet.has_ip() ? AcForTos(packet.ip().tos) : kAcBe;
@@ -111,25 +105,23 @@ WifiMac::WifiMac(Scheduler* scheduler, WifiPhy* phy, MacAddress address,
       current_data_mode_(config.data_mode) {
   phy_->set_listener(this);
   dcf_.on_grant = [this]() { OnAccessGranted(kAcBe); };
-  if (config_.edca_enabled) {
-    // Per-AC engines for VO/VI/BK, each with its own fork of the MAC's RNG
-    // (taken here, in declaration order, AFTER dcf_'s member-init fork —
-    // legacy mode takes none of these forks, so dcf_'s stream is untouched).
-    // BE needs no engine: dcf_ already runs AIFS[BE]/CW[BE] (= DIFS and the
-    // PHY's CW bounds), see EngineFor().
-    for (uint8_t ac = 0; ac < kNumAcs; ++ac) {
-      if (ac == kAcBe) {
-        continue;
-      }
-      const EdcaAcParams& params = config_.edca[ac];
-      edca_engines_[ac] = std::make_unique<DcfEngine>(
-          scheduler, rng.Fork(),
-          DcfEngine::Config{timings_.slot,
-                            timings_.sifs + timings_.slot * params.aifsn,
-                            params.cw_min, params.cw_max,
-                            EifsExtra(timings_)});
-      edca_engines_[ac]->on_grant = [this, ac]() { OnAccessGranted(ac); };
+  acs_ = config_.edca_enabled ? std::span<const uint8_t>(kEdcaAcs)
+                              : std::span<const uint8_t>(kBeOnly);
+  // Engines for the ACs other than BE, each with its own fork of the MAC's
+  // RNG (taken here, in AC order, AFTER dcf_'s member-init fork, so dcf_'s
+  // stream is the same with EDCA on or off). BE needs no engine: dcf_
+  // already runs AIFS[BE]/CW[BE] (= DIFS and the PHY's CW bounds).
+  for (uint8_t ac : acs_) {
+    if (ac == kAcBe) {
+      continue;
     }
+    const EdcaAcParams& params = kEdcaTable[ac];
+    edca_engines_[ac] = std::make_unique<DcfEngine>(
+        scheduler, rng.Fork(),
+        DcfEngine::Config{timings_.slot,
+                          timings_.sifs + timings_.slot * params.aifsn,
+                          params.cw_min, params.cw_max, EifsExtra(timings_)});
+    edca_engines_[ac]->on_grant = [this, ac]() { OnAccessGranted(ac); };
   }
   if (config_.standard == WifiStandard::k80211a) {
     config_.enable_ampdu = false;
@@ -158,8 +150,8 @@ void WifiMac::Associate(MacAddress peer) {
   TxState& st = TxFor(sid);
   // A recycled or re-associated id may carry a previous incarnation's
   // queue, rings and scoreboard (e.g. a silent crash the AP never saw);
-  // scrub them so the fresh association starts cold. The service-ring slot
-  // is kept (deactivated), matching the flushed state.
+  // scrub them so the fresh association starts cold. The service slot is
+  // kept (deactivated), matching the flushed state.
   if (st.next_seq != 0 || st.win_start != 0 || st.HasWork() ||
       st.consecutive_give_ups != 0) {
     if (phase_ != TxPhase::kIdle && sid == current_dest_sid_) {
@@ -169,11 +161,8 @@ void WifiMac::Associate(MacAddress peer) {
     st = TxState{};
     st.service_slot = slot;
     if (slot != TxState::kNoServiceSlot) {
-      service_ring_.Set(slot, false);
-      if (config_.edca_enabled) {
-        for (ActiveSlotRing& ring : ac_rings_) {
-          ring.Set(slot, false);
-        }
+      for (uint8_t ac : acs_) {
+        ac_rings_[ac].Set(slot, false);
       }
     }
   }
@@ -215,13 +204,9 @@ void WifiMac::Disassociate(MacAddress peer) {
     uint32_t slot = st.service_slot;
     st = TxState{};
     if (slot != TxState::kNoServiceSlot) {
-      service_ring_.Set(slot, false);
-      service_ring_.ReleaseSlot(slot);
-      if (config_.edca_enabled) {
-        for (ActiveSlotRing& ring : ac_rings_) {
-          ring.Set(slot, false);
-          ring.ReleaseSlot(slot);
-        }
+      for (uint8_t ac : acs_) {
+        ac_rings_[ac].Set(slot, false);
+        ac_rings_[ac].ReleaseSlot(slot);
       }
     }
   }
@@ -251,9 +236,8 @@ void WifiMac::ResetRadioState() {
   tx_.clear();
   rx_.clear();
   stations_ = StationTable{};
-  service_ring_ = ActiveSlotRing{};
-  for (ActiveSlotRing& ring : ac_rings_) {
-    ring = ActiveSlotRing{};
+  for (uint8_t ac : acs_) {
+    ac_rings_[ac] = ActiveSlotRing{};
   }
   current_ac_ = kAcBe;
   service_slot_station_.clear();
@@ -271,14 +255,12 @@ void WifiMac::EnsureServiceSlot(StationId sid, TxState& st) {
   if (st.service_slot != TxState::kNoServiceSlot) {
     return;
   }
-  size_t slot = service_ring_.AddSlot();
-  if (config_.edca_enabled) {
-    // Lockstep: every ring sees the same AddSlot/ReleaseSlot history (both
-    // recycle LIFO), so slot indices agree across all of them.
-    for (ActiveSlotRing& ring : ac_rings_) {
-      size_t ac_slot = ring.AddSlot();
-      CHECK(ac_slot == slot);
-    }
+  // Lockstep: every ring sees the same AddSlot/ReleaseSlot history (all
+  // recycle LIFO), so slot indices agree across all of them.
+  size_t slot = ac_rings_[acs_.front()].AddSlot();
+  for (uint8_t ac : acs_.subspan(1)) {
+    size_t ac_slot = ac_rings_[ac].AddSlot();
+    CHECK(ac_slot == slot);
   }
   st.service_slot = static_cast<uint32_t>(slot);
   if (slot == service_slot_station_.size()) {
@@ -292,11 +274,8 @@ void WifiMac::UpdateServiceRing(TxState& st) {
   if (st.service_slot == TxState::kNoServiceSlot) {
     return;  // never enqueued to: cannot have work
   }
-  service_ring_.Set(st.service_slot, st.HasWork());
-  if (config_.edca_enabled) {
-    for (uint8_t ac = 0; ac < kNumAcs; ++ac) {
-      ac_rings_[ac].Set(st.service_slot, AcHasWork(st, ac));
-    }
+  for (uint8_t ac : acs_) {
+    ac_rings_[ac].Set(st.service_slot, AcHasWork(st, ac));
   }
 }
 
@@ -315,7 +294,7 @@ bool WifiMac::AcHasWork(const TxState& st, uint8_t ac) const {
 }
 
 std::deque<Packet>& WifiMac::SendQueue(TxState& st, uint8_t ac) {
-  if (!config_.edca_enabled || ac == kAcBe) {
+  if (ac == kAcBe) {
     return st.queue;
   }
   if (st.edca_queues == nullptr) {
@@ -326,10 +305,20 @@ std::deque<Packet>& WifiMac::SendQueue(TxState& st, uint8_t ac) {
 }
 
 SimTime WifiMac::TxopLimitFor(uint8_t ac) const {
-  if (!config_.edca_enabled || config_.edca[ac].txop_limit.IsZero()) {
-    return config_.txop_limit;
+  SimTime limit = kEdcaTable[ac].txop_limit;
+  return limit.IsZero() ? config_.txop_limit : limit;
+}
+
+bool WifiMac::HasBacklog() const {
+  if (phase_ != TxPhase::kIdle) {
+    return true;
   }
-  return config_.edca[ac].txop_limit;
+  for (uint8_t ac : acs_) {
+    if (!ac_rings_[ac].Empty()) {
+      return true;
+    }
+  }
+  return false;
 }
 
 void WifiMac::Enqueue(Packet&& packet, MacAddress dest) {
@@ -398,19 +387,12 @@ size_t WifiMac::RemoveQueued(MacAddress dest,
 // --- originator pipeline --------------------------------------------------------
 
 void WifiMac::MaybeRequestAccess() {
-  if (phase_ != TxPhase::kIdle || service_ring_.Empty()) {
+  if (phase_ != TxPhase::kIdle) {
     return;
   }
-  if (!config_.edca_enabled) {
-    if (!dcf_.access_pending()) {
-      access_request_time_ = scheduler_->Now();
-      dcf_.RequestAccess();
-    }
-    return;
-  }
-  // EDCA: every AC with work contends independently; the internal
-  // contention in OnAccessGranted resolves same-instant winners.
-  for (uint8_t ac = 0; ac < kNumAcs; ++ac) {
+  // Every AC with work contends independently; the internal contention in
+  // OnAccessGranted resolves same-instant winners.
+  for (uint8_t ac : acs_) {
     if (ac_rings_[ac].Empty()) {
       continue;
     }
@@ -423,9 +405,8 @@ void WifiMac::MaybeRequestAccess() {
 }
 
 WifiMac::TxState* WifiMac::PickNextDest(uint8_t ac, StationId* sid_out) {
-  ActiveSlotRing& ring = config_.edca_enabled ? ac_rings_[ac] : service_ring_;
   size_t slot;
-  if (!ring.PickNext(&slot)) {
+  if (!ac_rings_[ac].PickNext(&slot)) {
     return nullptr;
   }
   StationId sid = service_slot_station_[slot];
@@ -435,43 +416,40 @@ WifiMac::TxState* WifiMac::PickNextDest(uint8_t ac, StationId* sid_out) {
 
 void WifiMac::OnAccessGranted(uint8_t ac) {
   if (phase_ != TxPhase::kIdle) {
-    // EDCA only: another AC's exchange is mid-flight (its grant can fire
-    // while we await a response on an idle medium — AIFS + backoff can
-    // elapse inside the response-timeout window). The request was consumed
-    // when this grant fired; MaybeRequestAccess at exchange end re-requests
-    // for every AC that still has work. Deliberately NO RequestAccess here:
-    // backoff_slots_ is -1 after a fired grant, so an immediate re-request
-    // could re-grant this same nanosecond, forever.
-    CHECK(config_.edca_enabled);
+    // Another AC's exchange is mid-flight (its grant can fire while we
+    // await a response on an idle medium — AIFS + backoff can elapse
+    // inside the response-timeout window); a lone AC only contends while
+    // idle. The request was consumed when this grant fired;
+    // MaybeRequestAccess at exchange end re-requests for every AC that
+    // still has work. Deliberately NO RequestAccess here: backoff_slots_ is
+    // -1 after a fired grant, so an immediate re-request could re-grant
+    // this same nanosecond, forever.
+    CHECK(acs_.size() > 1);
     return;
   }
-  if (config_.edca_enabled) {
-    SimTime now = scheduler_->Now();
-    // Internal contention (802.11e 9.9.1.3): of the engines granted at the
-    // same instant, only the highest-priority AC transmits; every loser
-    // suffers a virtual collision. Same-nanosecond grants may fire in any
-    // FIFO order, so both directions are handled: if a HIGHER-priority
-    // engine's grant is armed for this instant (it fires later this ns),
-    // *we* are the loser and stand down; any LOWER-priority engine armed
-    // for this instant loses to us.
-    for (uint8_t hi = 0; hi < ac; ++hi) {
-      DcfEngine& high = EngineFor(hi);
-      if (high.has_armed_grant() && high.armed_grant_time() == now) {
-        ++stats_.virtual_collisions;
-        DcfEngine& self = EngineFor(ac);
-        self.NotifyTxFailure();
-        self.RequestAccess();
-        return;
-      }
+  // Internal contention (802.11e 9.9.1.3): of the engines granted at the
+  // same instant, only the highest-priority AC transmits; every loser
+  // suffers a virtual collision. Same-nanosecond grants may fire in any
+  // FIFO order, so both directions are handled: if a HIGHER-priority
+  // engine's grant is armed for this instant (it fires later this ns), *we*
+  // are the loser and stand down; any LOWER-priority engine armed for this
+  // instant loses to us. acs_ runs highest priority first, so every higher
+  // AC is checked before any lower one is touched.
+  SimTime now = scheduler_->Now();
+  for (uint8_t other : acs_) {
+    DcfEngine& engine = EngineFor(other);
+    if (other == ac || !engine.has_armed_grant() ||
+        engine.armed_grant_time() != now) {
+      continue;
     }
-    for (uint8_t lo = ac + 1; lo < kNumAcs; ++lo) {
-      DcfEngine& low = EngineFor(lo);
-      if (low.has_armed_grant() && low.armed_grant_time() == now) {
-        ++stats_.virtual_collisions;
-        low.NotifyInternalCollision();
-      }
+    ++stats_.virtual_collisions;
+    if (other < ac) {
+      DcfEngine& self = EngineFor(ac);
+      self.NotifyTxFailure();
+      self.RequestAccess();
+      return;
     }
-    access_request_time_ = ac_request_time_[ac];
+    engine.NotifyInternalCollision();
   }
   current_ac_ = ac;
   StationId sid = kInvalidStationId;
@@ -599,7 +577,7 @@ void WifiMac::TransmitDataPpdu(Ppdu ppdu) {
   }
   current_all_tcp_acks_ = all_acks && !ppdu.mpdus.empty();
   if (current_all_tcp_acks_) {
-    SimTime wait = scheduler_->Now() - access_request_time_;
+    SimTime wait = scheduler_->Now() - ac_request_time_[current_ac_];
     SimTime payload_air = PayloadAirtime(ppdu);
     stats_.tcp_ack_frames_sent += ppdu.mpdus.size();
     for (const WifiFrame& mpdu : ppdu.mpdus) {
@@ -956,7 +934,7 @@ void WifiMac::HandleBlockAck(const WifiFrame& frame) {
     if (out == nullptr) {
       continue;
     }
-    if (++out->retries > config_.mpdu_retry_limit) {
+    if (++out->retries > kMpduRetryLimit) {
       ++stats_.mpdus_dropped_retry_limit;
       st.EraseOutstanding(seq);
     }
@@ -1034,7 +1012,7 @@ void WifiMac::HandleResponseTimeout() {
 
   TxState& st = tx_[current_dest_sid_];
   if (current_is_bar_) {
-    if (++st.bar_retries > config_.bar_retry_limit) {
+    if (++st.bar_retries > kBarRetryLimit) {
       GiveUpBlockAck(st);
     } else {
       st.bar_pending = true;
@@ -1043,7 +1021,7 @@ void WifiMac::HandleResponseTimeout() {
     // No Block ACK for a data batch: recover via BAR (§3.4, Figs 5-8).
     st.bar_pending = true;
   } else if (st.single_inflight.has_value()) {
-    if (++st.single_inflight->retries > config_.mpdu_retry_limit) {
+    if (++st.single_inflight->retries > kMpduRetryLimit) {
       ++stats_.mpdus_dropped_retry_limit;
       st.single_inflight.reset();
       NoteGiveUp(st);

@@ -49,22 +49,27 @@ namespace hacksim {
 
 // Per-access-category EDCA parameter row (802.11e): AIFS = SIFS + aifsn
 // slots, contention window bounds, and the TXOP limit the A-MPDU builder
-// sizes batches against. See docs/qos.md for the default table and the
+// sizes batches against. See docs/qos.md for the table and the
 // internal-contention rule.
 struct EdcaAcParams {
   uint8_t aifsn = 3;
   uint32_t cw_min = 15;
   uint32_t cw_max = 1023;
-  // Zero means "use WifiMacConfig::txop_limit" (the legacy global limit).
+  // Zero means "use WifiMacConfig::txop_limit" (the global limit).
   SimTime txop_limit;
 };
 
-// 802.11e-2005 Table 7-37 defaults (for a CWmin 15 / CWmax 1023 PHY):
-// VO {aifsn 2, CW 3/7, TXOP 1.504 ms}, VI {aifsn 2, CW 7/15, TXOP 3.008 ms},
-// BE {aifsn 3, CW 15/1023}, BK {aifsn 7, CW 15/1023}. The BE row is pinned
-// to the standard's base timings — the legacy DCF engine *is* the BE engine,
-// which is the core of the edca_enabled=false bit-identity argument.
-std::array<EdcaAcParams, kNumAcs> DefaultEdcaTable();
+// 802.11e-2005 Table 7-37 defaults (for a CWmin 15 / CWmax 1023 PHY),
+// indexed by AC. The BE row mirrors the standard's base timings (aifsn 3 ==
+// DIFS for 11n, CW 15/1023) and is informational only: the BE engine is
+// built from PhyTimings directly, so a MAC with EDCA off runs plain DCF.
+static_assert(kAcVo == 0 && kAcVi == 1 && kAcBe == 2 && kAcBk == 3);
+inline constexpr std::array<EdcaAcParams, kNumAcs> kEdcaTable = {{
+    {2, 3, 7, SimTime::Micros(1504)},   // VO
+    {2, 7, 15, SimTime::Micros(3008)},  // VI
+    {3, 15, 1023, SimTime::Zero()},     // BE
+    {7, 15, 1023, SimTime::Zero()},     // BK
+}};
 
 // Maps a packet to its access category via the IP precedence bits
 // (AcForTos); packets without an IP header ride best-effort.
@@ -77,8 +82,6 @@ struct WifiMacConfig {
   // Paper §4.3: AP buffers 126 packets per flow (3 batches of 42).
   size_t per_dest_queue_limit = 126;
   SimTime txop_limit = SimTime::Millis(4);
-  int mpdu_retry_limit = 7;
-  int bar_retry_limit = 7;
   // RTS/CTS virtual carrier sense: data PPDUs whose PSDU exceeds this many
   // bytes are preceded by an RTS/CTS handshake whose Duration fields make
   // overhearing stations reserve (NAV) the whole exchange. 0 disables —
@@ -119,15 +122,14 @@ struct WifiMacConfig {
   // streak. 0 disables — the default, and the legacy bit-identical path
   // (hidden-terminal runs legitimately hit give-ups on live peers).
   int dead_peer_flush_threshold = 0;
-  // 802.11e EDCA. Off (default): one DCF engine, one queue per destination,
-  // and every legacy output stays bit-identical (no extra engines are
-  // constructed, no extra RNG forks are taken, no extra events fire). On:
-  // four access categories (VO/VI/BE/BK) each with its own DCF engine
-  // parameterised from `edca`, per-(destination, AC) queues, and internal
-  // contention — same-instant grants resolve to the highest-priority AC,
-  // losers re-draw as virtual collisions (docs/qos.md).
+  // 802.11e EDCA. Every MAC runs the per-AC contention path; this picks
+  // its access categories. Off (default): BE alone — one DCF engine, one
+  // queue per destination, every packet best-effort, i.e. plain DCF. On:
+  // all four (VO/VI/BE/BK), each with its own engine parameterised from
+  // kEdcaTable, DSCP classification at enqueue, per-(destination, AC)
+  // queues, and internal contention — same-instant grants resolve to the
+  // highest-priority AC, losers re-draw as virtual collisions (docs/qos.md).
   bool edca_enabled = false;
-  std::array<EdcaAcParams, kNumAcs> edca = DefaultEdcaTable();
 };
 
 class WifiMac final : public WifiPhyListener {
@@ -157,9 +159,7 @@ class WifiMac final : public WifiPhyListener {
 
   // Liveness probes for SimWatchdog: queued-or-in-flight work, and the
   // current NAV horizon (SimTime::Zero() when no reservation is held).
-  bool HasBacklog() const {
-    return !service_ring_.Empty() || phase_ != TxPhase::kIdle;
-  }
+  bool HasBacklog() const;
   // Effective NAV horizon: a matured-but-unresolved coalesced probe counts
   // as already reclaimed (the MAC would resolve it on its next state read),
   // so the watchdog's NAV-leak check sees the same horizon either probe
@@ -244,13 +244,13 @@ class WifiMac final : public WifiPhyListener {
     int rts_retries = 0;
     bool rts_bypass_once = false;
     std::optional<OutstandingMpdu> single_inflight;  // 802.11a stop-and-wait
-    uint32_t service_slot = kNoServiceSlot;  // position in the service ring
+    uint32_t service_slot = kNoServiceSlot;  // slot in every AC ring
     // Consecutive exchange give-ups with no delivery in between; feeds the
     // dead-peer flush (config.dead_peer_flush_threshold).
     int consecutive_give_ups = 0;
-    // EDCA: lazily created per-AC staging queues. BE traffic — and ALL
-    // traffic in legacy mode — stays in `queue` (the [kAcBe] slot is never
-    // touched), so legacy stations never pay the allocation.
+    // EDCA: lazily created per-AC staging queues. BE traffic — all of it
+    // with EDCA off — stays in `queue` (the [kAcBe] slot is never touched),
+    // so a BE-only MAC never pays the allocation.
     std::unique_ptr<std::array<std::deque<Packet>, kNumAcs>> edca_queues;
     // AC of the most recent data exchange toward this destination. The
     // seq/Block-ACK window is shared across ACs (one agreement per peer, a
@@ -310,15 +310,14 @@ class WifiMac final : public WifiPhyListener {
     return rx_[sid];
   }
   void EnsureServiceSlot(StationId sid, TxState& st);
-  // Re-syncs the station's service-ring bit with TxState::HasWork(); call
-  // after any mutation that can change it.
+  // Re-syncs the station's bit in each AC ring with AcHasWork(); call after
+  // any mutation that can change it.
   void UpdateServiceRing(TxState& st);
 
-  // --- EDCA ------------------------------------------------------------------
-  // The engine contending for `ac`: the dedicated per-AC engine, or dcf_
-  // for BE (and for every AC in legacy mode, where no per-AC engines
-  // exist). dcf_ doubling as the BE engine is what keeps legacy runs
-  // bit-identical: same engine, same RNG stream, same call sites.
+  // --- access categories -----------------------------------------------------
+  // The engine contending for `ac`: dcf_ for BE, the dedicated engine
+  // otherwise. dcf_ is built first whatever acs_ holds, so its RNG stream
+  // does not depend on edca_enabled.
   DcfEngine& EngineFor(uint8_t ac) {
     return edca_engines_[ac] != nullptr ? *edca_engines_[ac] : dcf_;
   }
@@ -334,8 +333,8 @@ class WifiMac final : public WifiPhyListener {
       }
     }
   }
-  // The staging queue for (station, ac): st.queue for BE and legacy mode,
-  // the lazily created per-AC queue otherwise.
+  // The staging queue for (station, ac): st.queue for BE, the lazily
+  // created per-AC queue otherwise.
   std::deque<Packet>& SendQueue(TxState& st, uint8_t ac);
   // Whether `ac`'s engine has a reason to contend for this station: fresh
   // packets in its queue, or recovery work (BAR/outstanding/single) that
@@ -407,8 +406,12 @@ class WifiMac final : public WifiPhyListener {
   WifiMacConfig config_;
   PhyTimings timings_;
   DcfEngine dcf_;
-  // Per-AC engines, EDCA mode only. [kAcBe] stays null — dcf_ IS the BE
-  // engine (see EngineFor); in legacy mode the whole array is null.
+  // The access categories this MAC contends in, highest priority first:
+  // {BE} with EDCA off, {VO, VI, BE, BK} with it on. An AC outside acs_
+  // gets no engine, and its ring stays empty and untouched.
+  std::span<const uint8_t> acs_;
+  // Per-AC engines for VO/VI/BK, EDCA on only. [kAcBe] stays null — dcf_ IS
+  // the BE engine (see EngineFor).
   std::array<std::unique_ptr<DcfEngine>, kNumAcs> edca_engines_;
   HackHooks* hack_hooks_ = nullptr;
   MacStats stats_;
@@ -420,16 +423,15 @@ class WifiMac final : public WifiPhyListener {
   // enqueueing) never dangle.
   std::vector<TxState> tx_;
   std::vector<RxState> rx_;
-  // Service ring: slot index -> station, assigned in first-enqueue order
-  // (the legacy round_robin_ vector order), picked via an O(1) cursor.
-  ActiveSlotRing service_ring_;
+  // Service rings, one per AC in acs_: slot index -> station, assigned in
+  // first-enqueue order and picked via an O(1) cursor. The rings move in
+  // slot lockstep (same AddSlot / ReleaseSlot history, so slot s means the
+  // same station everywhere); a slot is active in ring[ac] iff
+  // AcHasWork(st, ac).
   std::vector<StationId> service_slot_station_;
-  // EDCA: per-AC rings in slot lockstep with service_ring_ (same AddSlot /
-  // ReleaseSlot history, so slot s means the same station everywhere); a
-  // slot is active in ring[ac] iff AcHasWork(st, ac). Only maintained when
-  // edca_enabled. service_ring_ stays the master "any work at all" ring
-  // (HasBacklog, MaybeRequestAccess's cheap empty check).
   std::array<ActiveSlotRing, kNumAcs> ac_rings_;
+  // When each AC last started contending; a granted exchange's channel
+  // wait (Table 3 accounting) is measured from here.
   std::array<SimTime, kNumAcs> ac_request_time_{};
 
   // Rate adaptation (engaged only when config_.enable_rate_adaptation).
@@ -438,7 +440,7 @@ class WifiMac final : public WifiPhyListener {
   std::optional<ArfRateController> rate_ctrl_;
 
   TxPhase phase_ = TxPhase::kIdle;
-  // AC of the exchange in flight (kAcBe always in legacy mode); exchange
+  // AC of the exchange in flight (kAcBe always with EDCA off); exchange
   // lifecycle feedback (TX success/failure, post-TX backoff, TXOP limit)
   // routes to EngineFor(current_ac_).
   uint8_t current_ac_ = kAcBe;
@@ -463,7 +465,6 @@ class WifiMac final : public WifiPhyListener {
   std::optional<Ppdu> pending_data_ppdu_;
   EventId response_timeout_event_ = kInvalidEventId;
   EventId cts_timeout_event_ = kInvalidEventId;
-  SimTime access_request_time_;
   SimTime tx_end_time_;
 
   bool phy_busy_ = false;

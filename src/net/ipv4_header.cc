@@ -49,7 +49,10 @@ std::optional<Ipv4Header> Deserialize20(ByteReader& reader) {
   auto checksum = reader.ReadU16Be();
   auto src = reader.ReadU32Be();
   auto dst = reader.ReadU32Be();
-  if (!dst) {
+  // Checked one by one: a failed read does not advance the reader, so a
+  // later, shorter read can still succeed on truncated input.
+  if (!tos || !total_length || !identification || !flags_frag || !ttl ||
+      !protocol || !checksum || !src || !dst) {
     return std::nullopt;
   }
   h.tos = *tos;

@@ -127,7 +127,10 @@ std::optional<TcpHeader> TcpHeader::Deserialize(ByteReader& reader) {
   auto window = reader.ReadU16Be();
   auto checksum = reader.ReadU16Be();
   auto urgent = reader.ReadU16Be();
-  if (!urgent) {
+  // Checked one by one: a failed read does not advance the reader, so a
+  // later, shorter read can still succeed on truncated input.
+  if (!src_port || !dst_port || !seq || !ack || !offset_byte || !flags ||
+      !window || !checksum || !urgent) {
     return std::nullopt;
   }
   (void)checksum;
@@ -204,7 +207,7 @@ std::optional<TcpHeader> TcpHeader::Deserialize(ByteReader& reader) {
         }
         auto tsval = opt.ReadU32Be();
         auto tsecr = opt.ReadU32Be();
-        if (!tsecr) {
+        if (!tsval || !tsecr) {
           return std::nullopt;
         }
         h.timestamps = TcpTimestamps{*tsval, *tsecr};
@@ -217,7 +220,7 @@ std::optional<TcpHeader> TcpHeader::Deserialize(ByteReader& reader) {
         for (size_t i = 0; i < body / 8; ++i) {
           auto start = opt.ReadU32Be();
           auto end = opt.ReadU32Be();
-          if (!end) {
+          if (!start || !end) {
             return std::nullopt;
           }
           h.sack_blocks.push_back(SackBlock{*start, *end});

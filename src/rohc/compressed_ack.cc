@@ -63,13 +63,15 @@ void CompressedAckRecord::Serialize(ByteWriter& writer) const {
   }
 }
 
+// Every read is checked on its own: a failed read leaves the reader where
+// it was, so a later, shorter read can still succeed on a truncated record.
 std::optional<CompressedAckRecord> CompressedAckRecord::Deserialize(
     ByteReader& reader) {
   CompressedAckRecord rec;
   auto cid = reader.ReadU8();
   auto ctrl = reader.ReadU8();
   auto msn = reader.ReadU8();
-  if (!msn) {
+  if (!cid || !ctrl || !msn) {
     return std::nullopt;
   }
   rec.cid = *cid;
@@ -90,7 +92,7 @@ std::optional<CompressedAckRecord> CompressedAckRecord::Deserialize(
     auto seq = reader.ReadU32Le();
     auto ack = reader.ReadU32Le();
     auto window = reader.ReadU16Le();
-    if (!window) {
+    if (!seq || !ack || !window) {
       return std::nullopt;
     }
     rec.seq = *seq;
@@ -99,7 +101,7 @@ std::optional<CompressedAckRecord> CompressedAckRecord::Deserialize(
     if (rec.refresh_has_ts) {
       auto tsval = reader.ReadU32Le();
       auto tsecr = reader.ReadU32Le();
-      if (!tsecr) {
+      if (!tsval || !tsecr) {
         return std::nullopt;
       }
       rec.tsval = *tsval;
@@ -108,7 +110,7 @@ std::optional<CompressedAckRecord> CompressedAckRecord::Deserialize(
     for (size_t i = 0; i < sack_count; ++i) {
       auto start = reader.ReadU32Le();
       auto end = reader.ReadU32Le();
-      if (!end) {
+      if (!start || !end) {
         return std::nullopt;
       }
       rec.sack_blocks.push_back(SackBlock{*start, *end});
@@ -147,7 +149,7 @@ std::optional<CompressedAckRecord> CompressedAckRecord::Deserialize(
   if (rec.has_ts_delta) {
     auto tsval_delta = reader.ReadU8();
     auto tsecr_delta = reader.ReadU8();
-    if (!tsecr_delta) {
+    if (!tsval_delta || !tsecr_delta) {
       return std::nullopt;
     }
     rec.tsval_delta = *tsval_delta;

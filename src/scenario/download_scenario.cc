@@ -82,7 +82,7 @@ Position PlaceClient(const ScenarioConfig& config, const ClientSpec& spec,
     case Topology::kUniformDisk: {
       // Uniform over the disk, clamped away from the AP's exact position.
       double r = std::max(
-          1.0, config.cell_radius_m * std::sqrt(placement_rng.NextDouble()));
+          1.0, kCellRadiusM * std::sqrt(placement_rng.NextDouble()));
       double theta = 2.0 * kPi * placement_rng.NextDouble();
       return Position{r * std::cos(theta), r * std::sin(theta)};
     }
@@ -96,11 +96,11 @@ Position PlaceClient(const ScenarioConfig& config, const ClientSpec& spec,
       int per_cluster = (config.n_clients + 1 - cluster) / 2;
       int k = static_cast<int>(
           std::ceil(std::sqrt(static_cast<double>(per_cluster))));
-      double step = k > 1 ? config.cluster_spread_m / (k - 1) : 0.0;
-      double half = config.cluster_spread_m / 2.0;
+      double step = k > 1 ? kClusterSpreadM / (k - 1) : 0.0;
+      double half = kClusterSpreadM / 2.0;
       double ox = k > 1 ? (j % k) * step - half : 0.0;
       double oy = k > 1 ? (j / k) * step - half : 0.0;
-      return Position{sign * config.cluster_distance_m + ox, oy};
+      return Position{sign * kClusterDistanceM + ox, oy};
     }
   }
   return Position{};
@@ -131,10 +131,8 @@ ScenarioResult RunScenario(const ScenarioConfig& config) {
 
   // --- channel / wired link ----------------------------------------------------
   WirelessChannel channel(&scheduler, config.channel_delivery);
-  PointToPointLink::Config wired_cfg;
-  wired_cfg.rate_bps = config.wired_rate_bps;
-  wired_cfg.delay = config.wired_delay;
-  PointToPointLink wired(&scheduler, wired_cfg);
+  // The backhaul keeps PointToPointLink's defaults: 500 Mbps, 1 ms.
+  PointToPointLink wired(&scheduler, PointToPointLink::Config{});
 
   // --- MAC configs ----------------------------------------------------------------
   WifiMacConfig ap_mac_cfg;
@@ -149,7 +147,6 @@ ScenarioResult RunScenario(const ScenarioConfig& config) {
   ap_mac_cfg.legacy_nav_probe_events = config.legacy_nav_probe_events;
   ap_mac_cfg.edca_enabled = config.edca_enabled;
   ap_mac_cfg.enable_rate_adaptation = config.rate_adaptation;
-  ap_mac_cfg.rate_adapt = config.rate_adapt;
   if (config.hack != HackVariant::kOff) {
     ap_mac_cfg.max_hack_payload_bytes = config.hack_config.max_payload_bytes;
   }
@@ -378,7 +375,6 @@ ScenarioResult RunScenario(const ScenarioConfig& config) {
       } else {
         UdpCbrSource::Config src_cfg;
         src_cfg.rate_bps = config.udp_rate_bps / config.n_clients;
-        src_cfg.payload_bytes = config.udp_payload_bytes;
         src_cfg.start = specs[i].start_offset;
         src_cfg.stop = config.duration;
         src_cfg.burst_window = config.udp_burst_window;

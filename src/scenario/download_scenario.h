@@ -35,14 +35,20 @@ enum class TransportProto { kTcp, kUdp };
 // their ClientSpec::distance_m — on the fixed-loss channel only propagation
 // *delay* ever depended on it). The other two exist for the geometric
 // channel (ScenarioConfig::propagation):
-//   kUniformDisk      — clients uniform over a disk of cell_radius_m around
-//                       the AP; random hidden pairs and capture asymmetry.
+//   kUniformDisk      — clients uniform over a disk of kCellRadiusM
+//                       around the AP; random hidden pairs and capture
+//                       asymmetry.
 //   kTwoClusterHidden — the classic hidden-terminal topology: two dense
-//                       clusters cluster_distance_m either side of the AP,
+//                       clusters kClusterDistanceM either side of the AP,
 //                       each in range of the AP, out of range of each other.
 //                       Client i joins cluster i % 2, on a deterministic
-//                       grid of extent cluster_spread_m.
+//                       grid of extent kClusterSpreadM.
 enum class Topology { kRing, kUniformDisk, kTwoClusterHidden };
+
+// Topology geometry (metres).
+inline constexpr double kCellRadiusM = 20.0;       // kUniformDisk
+inline constexpr double kClusterDistanceM = 20.0;  // AP <-> cluster centre
+inline constexpr double kClusterSpreadM = 4.0;     // cluster grid extent
 
 struct ClientSpec {
   double distance_m = 5.0;
@@ -68,10 +74,9 @@ struct ScenarioConfig {
   // exceeds this many bytes are protected by the handshake. 0 (default)
   // disables it and keeps legacy scenarios bit-identical.
   size_t rts_threshold = 0;
-  // Per-station ARF rate adaptation on every MAC; data_rate_mbps becomes
-  // the starting rate.
+  // Per-station ARF rate adaptation on every MAC (default RateAdaptConfig);
+  // data_rate_mbps becomes the starting rate.
   bool rate_adaptation = false;
-  RateAdaptConfig rate_adapt;
 
   // 0 = time-bounded run; otherwise run until every sender completes.
   uint64_t file_bytes = 0;
@@ -79,9 +84,6 @@ struct ScenarioConfig {
   // Stagger between consecutive clients' flow starts (mitigates phase
   // effects, §4.3).
   SimTime start_stagger = SimTime::Millis(250);
-
-  double wired_rate_bps = 500e6;
-  SimTime wired_delay = SimTime::Millis(1);
 
   // Paper §4.3: 126-packet AP queue per flow.
   size_t ap_queue_per_client = 126;
@@ -97,9 +99,6 @@ struct ScenarioConfig {
   // (default) keeps the legacy fixed-loss broadcast medium bit-identical.
   std::optional<LogDistancePropagation::Params> propagation;
   Topology topology = Topology::kRing;
-  double cell_radius_m = 20.0;       // kUniformDisk
-  double cluster_distance_m = 20.0;  // kTwoClusterHidden: AP <-> cluster center
-  double cluster_spread_m = 4.0;     // kTwoClusterHidden: grid extent
 
   // SoRa quirks (§4.1).
   SimTime extra_ack_delay;
@@ -107,8 +106,8 @@ struct ScenarioConfig {
 
   // 802.11e EDCA on every MAC: four access categories (VO/VI/BE/BK) with
   // per-AC contention parameters and queues, DSCP-classified at enqueue
-  // (docs/qos.md). False (default) keeps the single-DCF legacy MAC
-  // bit-identical.
+  // (docs/qos.md). False (default): every MAC contends in BE alone, i.e.
+  // plain DCF.
   bool edca_enabled = false;
   // Mixed-workload traffic zoo. Empty (default) keeps the classic setup.
   // UDP scenarios: non-empty replaces every client's CBR source with a
@@ -124,7 +123,6 @@ struct ScenarioConfig {
   double traffic_rate_scale = 1.0;
 
   TcpConfig tcp;
-  uint32_t udp_payload_bytes = 1472;
   double udp_rate_bps = 250e6;
   // Token-bucket window for the UDP CBR sources (UdpCbrSource::Config):
   // one refill event releases the packets of every tick accrued in it.

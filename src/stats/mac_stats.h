@@ -121,8 +121,8 @@ struct MacStats {
   uint64_t rx_window_resyncs = 0;     // reorder window hard-reset after a
                                       // peer's MAC restarted mid-stream
 
-  // --- EDCA (only incremented while edca_enabled; all-zero in legacy mode,
-  // which is what keeps the MacStats equality pins of PR 2/5/6 intact) ------
+  // --- EDCA (all-zero with edca_enabled off: a lone BE access category
+  // never collides internally, and ac_ppdus_sent counts only under EDCA) ---
   uint64_t virtual_collisions = 0;  // internal-contention losses (CW doubled,
                                     // backoff redrawn, request kept pending)
   std::array<uint64_t, kNumAcs> ac_ppdus_sent{};  // data PPDUs per AC

@@ -103,6 +103,56 @@ TEST(CompressedAckTest, RecordRoundTripRefreshWithSack) {
   EXPECT_EQ(parsed->sack_blocks[1], (SackBlock{3000, 4000}));
 }
 
+// A failed read leaves the reader where it was, so a later, shorter read can
+// still succeed: a refresh record cut two bytes after its flags byte reads
+// no seq and no ack, then a window. Every strict prefix of a record must be
+// rejected, and the whole record must still parse.
+TEST(CompressedAckTest, EveryStrictPrefixIsRejected) {
+  const std::vector<uint8_t> cut = {0x01, 0x80, 0x05, 0x00, 0xAA, 0xBB};
+  ByteReader cut_reader(cut);
+  EXPECT_FALSE(CompressedAckRecord::Deserialize(cut_reader).has_value());
+
+  CompressedAckRecord refresh;
+  refresh.cid = 1;
+  refresh.msn = 5;
+  refresh.refresh = true;
+  refresh.refresh_has_ts = true;
+  refresh.seq = 111;
+  refresh.ack = 222;
+  refresh.window = 333;
+  refresh.tsval = 444;
+  refresh.tsecr = 555;
+  refresh.sack_blocks = {{1000, 2000}, {3000, 4000}};
+  std::vector<CompressedAckRecord> records = {refresh};
+  for (uint8_t mode = 0; mode < 4; ++mode) {
+    CompressedAckRecord delta;
+    delta.cid = 2;
+    delta.msn = 6;
+    delta.ack_mode = mode;
+    delta.ack_delta = mode == 1 ? 200 : 60000;
+    delta.ack_abs = 123456;
+    delta.has_ts_delta = true;
+    delta.tsval_delta = 3;
+    delta.tsecr_delta = 1;
+    delta.has_window = true;
+    delta.window = 777;
+    records.push_back(delta);
+  }
+  for (const CompressedAckRecord& rec : records) {
+    ByteWriter w;
+    rec.Serialize(w);
+    std::span<const uint8_t> bytes = w.bytes();
+    ByteReader whole(bytes);
+    EXPECT_TRUE(CompressedAckRecord::Deserialize(whole).has_value());
+    for (size_t len = 0; len < bytes.size(); ++len) {
+      ByteReader r(bytes.first(len));
+      EXPECT_FALSE(CompressedAckRecord::Deserialize(r).has_value())
+          << "refresh " << rec.refresh << " ack_mode " << int{rec.ack_mode}
+          << ": prefix of " << len << "/" << bytes.size() << " bytes";
+    }
+  }
+}
+
 TEST(CompressedAckTest, StrideRecordIsThreeBytes) {
   // The paper: "3 bytes if the associated flow transmits a constant payload
   // size". Establish a stride, then check the steady-state record size.

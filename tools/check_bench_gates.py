@@ -79,9 +79,8 @@ Ten gates, all keyed to the committed Release references in the repo root:
    pair, the "tcp+hack-w0" ablation row (HackAckPolicy configured with
    flush_window=0) must be byte-identical to the plain "tcp"/moredata row
    once the row-identity keys (proto, wall_ms) and the ablation-only
-   detail columns are stripped — the off switch is structurally absent,
-   like edca_enabled=false. The w0 row must also report
-   hack_ack_batches == 0. The simulator is deterministic and the ablation
+   detail columns are stripped — the off switch is structurally absent.
+   The w0 row must also report hack_ack_batches == 0. The simulator is deterministic and the ablation
    rows alias the tcp/moredata replicate seeds (Workload::seed_group), so
    "identical" really means identical, replicate statistics included.
    Committed artifact must carry the pair; fresh is checked whenever it
