@@ -45,7 +45,6 @@
 #include <string>
 #include <vector>
 
-#include "bench/bench_util.h"
 #include "src/scenario/campaign.h"
 #include "src/sim/random.h"
 #include "src/util/stats.h"
@@ -53,6 +52,11 @@
 using namespace hacksim;
 
 namespace {
+
+bool QuickMode() {
+  const char* env = std::getenv("HACKSIM_QUICK");
+  return env != nullptr && std::string(env) == "1";
+}
 
 struct Workload {
   // Row label for the table/JSON "proto" column (the goodput gate keys on
@@ -436,8 +440,11 @@ int main(int argc, char** argv) {
     repeats = 1;
   }
 
-  PrintHeader("bench_scale",
-              "dense-cell scaling (ROADMAP north star, not a paper figure)");
+  const char* rule =
+      "==============================================================\n";
+  std::printf("%sbench_scale\n  reproduces: dense-cell scaling (ROADMAP "
+              "north star, not a paper figure)\n%s",
+              rule, rule);
   std::vector<int> station_counts = QuickMode()
                                         ? std::vector<int>{10, 100}
                                         : std::vector<int>{10, 100, 1000};

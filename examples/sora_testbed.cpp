@@ -9,17 +9,8 @@
 using namespace hacksim;
 
 int main() {
-  ScenarioConfig config;
-  config.standard = WifiStandard::k80211a;
-  config.data_rate_mbps = 54.0;
-  config.n_clients = 2;
+  ScenarioConfig config = SoraTestbed(2);
   config.duration = SimTime::Seconds(5);
-  config.tcp.mss = 1448;
-  config.extra_ack_delay = SimTime::Micros(37);
-  config.extra_ack_timeout = SimTime::Micros(80);
-  config.clients.resize(2);
-  config.clients[0].bernoulli_data_loss = 0.02;  // Client 1 is lossier
-  config.clients[1].bernoulli_data_loss = 0.01;
   config.seed = 4;
 
   std::printf("SoRa-style testbed: 802.11a @54 Mbps, 2 clients, "

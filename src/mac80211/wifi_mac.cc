@@ -123,9 +123,6 @@ WifiMac::WifiMac(Scheduler* scheduler, WifiPhy* phy, MacAddress address,
                           params.cw_min, params.cw_max, EifsExtra(timings_)});
     edca_engines_[ac]->on_grant = [this, ac]() { OnAccessGranted(ac); };
   }
-  if (config_.standard == WifiStandard::k80211a) {
-    config_.enable_ampdu = false;
-  }
   rate_table_ = config_.standard == WifiStandard::k80211a ? Modes80211a()
                                                           : Modes80211n();
   bool found = false;
@@ -465,13 +462,15 @@ SimTime WifiMac::ResponseTimeoutDelay(bool block_ack_expected) const {
   size_t resp_bytes = (block_ack_expected ? kBlockAckBytes : kAckBytes) +
                       config_.max_hack_payload_bytes;
   return timings_.sifs + FrameDuration(resp_mode, resp_bytes) +
-         timings_.ack_timeout + config_.extra_ack_timeout;
+         timings_.ack_timeout +
+         (config_.sora_ack_quirk ? kSoraAckTimeoutExtra : SimTime::Zero());
 }
 
 SimTime WifiMac::CtsTimeoutDelay() const {
   WifiMode cts_mode = ControlResponseMode(current_data_mode_);
   return timings_.sifs + FrameDuration(cts_mode, kCtsBytes) +
-         timings_.ack_timeout + config_.extra_ack_timeout;
+         timings_.ack_timeout +
+         (config_.sora_ack_quirk ? kSoraAckTimeoutExtra : SimTime::Zero());
 }
 
 void WifiMac::StartExchange(StationId sid, TxState& st) {
@@ -608,8 +607,8 @@ Ppdu WifiMac::BuildDataPpdu(MacAddress dest, TxState& st) {
   }
   WifiMode resp_mode = ControlResponseMode(ppdu.mode);
 
-  if (!config_.enable_ampdu) {
-    // Stop-and-wait single MPDU.
+  if (config_.standard == WifiStandard::k80211a) {
+    // 802.11a has no A-MPDU: stop-and-wait single MPDU.
     if (!st.single_inflight.has_value()) {
       if (queue.empty()) {
         return ppdu;
@@ -1378,7 +1377,9 @@ void WifiMac::DeliverContiguous(RxState& rx, MacAddress from) {
 void WifiMac::ScheduleResponse(WifiFrame response,
                                const WifiMode& eliciting_mode) {
   WifiMode resp_mode = ControlResponseMode(eliciting_mode);
-  SimTime delay = timings_.sifs + config_.extra_ack_delay;
+  SimTime delay =
+      timings_.sifs +
+      (config_.sora_ack_quirk ? kSoraAckDelay : SimTime::Zero());
   ++responses_pending_;
   UpdateMediumState();
   scheduler_->ScheduleIn(

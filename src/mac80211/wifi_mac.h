@@ -75,10 +75,14 @@ inline constexpr std::array<EdcaAcParams, kNumAcs> kEdcaTable = {{
 // (AcForTos); packets without an IP header ride best-effort.
 uint8_t ClassifyAc(const Packet& packet);
 
+// SoRa's LL-ACK quirk (§4.1): the software radio returns LL ACKs this much
+// later than SIFS, and the sender widens its response timeouts to match.
+inline constexpr SimTime kSoraAckDelay = SimTime::Micros(37);
+inline constexpr SimTime kSoraAckTimeoutExtra = SimTime::Micros(80);
+
 struct WifiMacConfig {
   WifiStandard standard = WifiStandard::k80211n;
   WifiMode data_mode;
-  bool enable_ampdu = true;
   // Paper §4.3: AP buffers 126 packets per flow (3 batches of 42).
   size_t per_dest_queue_limit = 126;
   SimTime txop_limit = SimTime::Millis(4);
@@ -108,10 +112,9 @@ struct WifiMacConfig {
   // then goes out at data_mode exactly as before.
   bool enable_rate_adaptation = false;
   RateAdaptConfig rate_adapt;
-  // SoRa quirks (§4.1): the receiver returns LL ACKs this much later than
-  // SIFS, and the sender widens its ACK timeout to compensate.
-  SimTime extra_ack_delay;
-  SimTime extra_ack_timeout;
+  // SoRa's LL-ACK quirk (§4.1): LL ACKs go out kSoraAckDelay after SIFS,
+  // and response timeouts widen by kSoraAckTimeoutExtra to compensate.
+  bool sora_ack_quirk = false;
   // When > 0, response timeouts budget for HACK payload bytes appended to
   // LL ACKs by the peer.
   size_t max_hack_payload_bytes = 0;

@@ -138,11 +138,9 @@ ScenarioResult RunScenario(const ScenarioConfig& config) {
   WifiMacConfig ap_mac_cfg;
   ap_mac_cfg.standard = config.standard;
   ap_mac_cfg.data_mode = data_mode;
-  ap_mac_cfg.enable_ampdu = config.standard == WifiStandard::k80211n;
   ap_mac_cfg.per_dest_queue_limit = config.ap_queue_per_client;
   ap_mac_cfg.txop_limit = config.txop_limit;
-  ap_mac_cfg.extra_ack_delay = config.extra_ack_delay;
-  ap_mac_cfg.extra_ack_timeout = config.extra_ack_timeout;
+  ap_mac_cfg.sora_ack_quirk = config.sora_ack_quirk;
   ap_mac_cfg.rts_threshold = config.rts_threshold;
   ap_mac_cfg.legacy_nav_probe_events = config.legacy_nav_probe_events;
   ap_mac_cfg.edca_enabled = config.edca_enabled;
@@ -677,6 +675,21 @@ ScenarioResult RunScenario(const ScenarioConfig& config) {
     }
   }
   return result;
+}
+
+ScenarioConfig SoraTestbed(int n_clients) {
+  ScenarioConfig c;
+  c.standard = WifiStandard::k80211a;
+  c.data_rate_mbps = 54.0;
+  c.n_clients = n_clients;
+  c.tcp.mss = 1448;
+  c.sora_ack_quirk = true;
+  c.clients.resize(static_cast<size_t>(n_clients));
+  c.clients[0].bernoulli_data_loss = 0.02;  // Client 1 is lossier (§4.2)
+  if (n_clients > 1) {
+    c.clients[1].bernoulli_data_loss = 0.01;
+  }
+  return c;
 }
 
 }  // namespace hacksim

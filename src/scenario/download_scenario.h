@@ -100,9 +100,9 @@ struct ScenarioConfig {
   std::optional<LogDistancePropagation::Params> propagation;
   Topology topology = Topology::kRing;
 
-  // SoRa quirks (§4.1).
-  SimTime extra_ack_delay;
-  SimTime extra_ack_timeout;
+  // SoRa's LL-ACK quirk (§4.1): LL ACKs 37 us late, ACK timeouts 80 us
+  // wider (WifiMacConfig::sora_ack_quirk).
+  bool sora_ack_quirk = false;
 
   // 802.11e EDCA on every MAC: four access categories (VO/VI/BE/BK) with
   // per-AC contention parameters and queues, DSCP-classified at enqueue
@@ -219,6 +219,12 @@ struct ScenarioResult {
 };
 
 ScenarioResult RunScenario(const ScenarioConfig& config);
+
+// The paper's SoRa testbed (§4.1, §4.2): 802.11a at 54 Mbps, MSS 1448 (a
+// 1500 B MTU with timestamps), SoRa's LL-ACK quirk, and per-client frame
+// loss of 2% for Client 1 and 1% for Client 2. Every other field keeps its
+// default.
+ScenarioConfig SoraTestbed(int n_clients);
 
 }  // namespace hacksim
 

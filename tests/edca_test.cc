@@ -344,16 +344,11 @@ TEST(EdcaEquivalencePin, AllBeWorkloadsMatchWithEdcaOnAndOff) {
     cells.push_back({"churn", c});
   }
   {
-    ScenarioConfig c = AllBeCell(TransportProto::kTcp, HackVariant::kMoreData);
-    c.standard = WifiStandard::k80211a;
-    c.data_rate_mbps = 54.0;
-    c.n_clients = 2;
-    c.tcp.mss = 1448;
-    c.extra_ack_delay = SimTime::Micros(37);
-    c.extra_ack_timeout = SimTime::Micros(80);
-    c.clients.resize(2);
-    c.clients[0].bernoulli_data_loss = 0.02;
-    c.clients[1].bernoulli_data_loss = 0.01;
+    ScenarioConfig c = SoraTestbed(2);
+    c.hack = HackVariant::kMoreData;
+    c.duration = SimTime::Millis(500);
+    c.start_stagger = SimTime::Millis(20);
+    c.seed = 7;
     cells.push_back({"sora pair", c});
   }
 

@@ -16,15 +16,22 @@ accepts. The flag table is read statically from the parser's
 calls, and the accepted values from its `Choose<T>("name", ...)` tables,
 so no build is needed.
 
+Third check: every `*.md` file named in the code under src/, bench/,
+tests/ and tools/ (a comment's "see docs/qos.md", a printed pointer) must
+exist — as a path from the repo root or from the citing file, or as a
+top-level file of that name. This script is skipped: its self-test
+fixtures name files that exist only in temporary trees.
+
 Usage: python3 tools/check_doc_links.py [repo_root]
-Exit 0 if every relative link resolves and every documented flag and
-enumerated value exists, 1 otherwise (one line per dead link, unknown flag
-or unknown value: file, line, target).
+Exit 0 if every relative link resolves, every documented flag and
+enumerated value exists and every cited doc exists, 1 otherwise (one line
+per dead link, unknown flag, unknown value or missing doc: file, line,
+target).
 
 python3 tools/check_doc_links.py --self-test exercises both branches of
 every check on synthetic trees (a clean tree must pass; a dead link, a
-bogus hacksim_run flag and a bogus enumerated value must each fail) and
-exits 0 iff all behave.
+bogus hacksim_run flag, a bogus enumerated value and a code comment citing
+a missing doc must each fail) and exits 0 iff all behave.
 """
 
 import pathlib
@@ -46,6 +53,9 @@ DOC_FLAG_RE = re.compile(r"(?<![\w-])(--[a-z][a-z0-9-]*)")
 CHOOSE_RE = re.compile(r'Choose<[^>]*>\(\s*"([a-z0-9-]+)",(.*?)\);', re.S)
 CHOICE_RE = re.compile(r'\{"([^"]+)",')
 DOC_VALUE_RE = re.compile(r"(?<![\w-])(--[a-z][a-z0-9-]*)=([^\s'\"]+)")
+# A doc file named in code: docs/qos.md, PAPERS.md, ...
+CITED_DOC_RE = re.compile(r"(?<![\w./-])([\w./-]*\w\.md)\b")
+CODE_DIRS = ("src", "bench", "tests", "tools")
 
 
 def doc_files(root: pathlib.Path):
@@ -158,9 +168,35 @@ def check(root: pathlib.Path) -> int:
     return 1 if dead else 0
 
 
+def check_cited_docs(root: pathlib.Path) -> int:
+    missing = []
+    checked = 0
+    for top in CODE_DIRS:
+        for path in sorted((root / top).rglob("*")):
+            if not path.is_file() or path.name == pathlib.Path(__file__).name:
+                continue
+            try:
+                text = path.read_text(encoding="utf-8")
+            except UnicodeDecodeError:
+                continue
+            for lineno, line in enumerate(text.splitlines(), start=1):
+                for cited in CITED_DOC_RE.findall(line):
+                    checked += 1
+                    if not ((root / cited).exists()
+                            or (path.parent / cited).exists()
+                            or (root / pathlib.Path(cited).name).exists()):
+                        missing.append((path.relative_to(root), lineno, cited))
+    for path, lineno, cited in missing:
+        print(f"MISSING DOC {path}:{lineno}: {cited}")
+    print(f"cited doc check: {checked} *.md names in code, {len(missing)} "
+          "missing" + (" — FAILED" if missing else ""))
+    return 1 if missing else 0
+
+
 def self_test() -> int:
     """Both branches of every check on synthetic trees: clean → 0, dead
-    link → 1, bogus hacksim_run flag → 1, bogus enumerated value → 1."""
+    link → 1, bogus hacksim_run flag → 1, bogus enumerated value → 1, code
+    citing a missing doc → 1."""
     import tempfile
 
     ok = True
@@ -211,6 +247,17 @@ def self_test() -> int:
         if rc != 1:
             print("self-test FAIL: dead link did not fail the check")
             ok = False
+        (root / "src").mkdir()
+        (root / "src" / "mac.h").write_text(
+            "// See docs/guide.md and README.md.\n", encoding="utf-8")
+        if check_cited_docs(root) != 0:
+            print("self-test FAIL: code citing docs that exist did not pass")
+            ok = False
+        (root / "src" / "mac.h").write_text(
+            "// See EXPERIMENTS.md for the gap.\n", encoding="utf-8")
+        if check_cited_docs(root) != 1:
+            print("self-test FAIL: code citing a missing doc did not fail")
+            ok = False
     print("check_doc_links self-test " + ("passed" if ok else "FAILED"))
     return 0 if ok else 1
 
@@ -221,7 +268,8 @@ def main() -> int:
     root = pathlib.Path(sys.argv[1] if len(sys.argv) > 1 else ".").resolve()
     links = check(root)
     flags = check_flags(root)
-    return 1 if links or flags else 0
+    cited = check_cited_docs(root)
+    return 1 if links or flags or cited else 0
 
 
 if __name__ == "__main__":

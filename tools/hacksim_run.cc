@@ -320,10 +320,7 @@ int main(int argc, char** argv) {
   if (config.standard == WifiStandard::k80211a) {
     config.tcp.mss = 1448;
   }
-  if (flags.sora) {
-    config.extra_ack_delay = SimTime::Micros(37);
-    config.extra_ack_timeout = SimTime::Micros(80);
-  }
+  config.sora_ack_quirk = flags.sora;
   config.clients.resize(flags.clients);
   for (auto& spec : config.clients) {
     spec.bernoulli_data_loss = flags.loss;

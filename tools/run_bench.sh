@@ -2,8 +2,9 @@
 # Runs the perf-tracking benches and records the results:
 #   BENCH_micro.json   google-benchmark JSON from bench_micro (hot-path
 #                      microbenchmarks: scheduler, ROHC, MD5, serialisation)
-#   BENCH_fig10.txt    bench_fig10_goodput output + wall-clock, the
-#                      end-to-end "how fast does a full experiment run" probe
+#   BENCH_fig10.txt    `bench_paper fig10` rows (Figure 10, ours vs paper)
+#                      + wall-clock, the end-to-end "how fast does a full
+#                      experiment run" probe
 #   BENCH_scale.json   bench_scale dense-cell sweep (stations x proto x
 #                      HACK): goodput, events/PPDU, wall clock. Exits
 #                      nonzero if a dense cell stops delivering, so this
@@ -98,9 +99,9 @@ if grep -q '"library_build_type": "debug"' "$out_dir/BENCH_micro.json"; then
 fi
 
 echo
-echo "== bench_fig10_goodput =="
+echo "== bench_paper fig10 =="
 start_ns=$(date +%s%N)
-run_with_timeout bench_fig10_goodput "$build_dir/bench_fig10_goodput" \
+run_with_timeout bench_paper "$build_dir/bench_paper" fig10 \
   | tee "$out_dir/BENCH_fig10.txt"
 end_ns=$(date +%s%N)
 wall_ms=$(( (end_ns - start_ns) / 1000000 ))
