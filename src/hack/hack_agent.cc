@@ -272,23 +272,31 @@ void HackAgent::OnMpduDelivered(const Packet& packet, MacAddress dest) {
   // context now exists there.
   established_flows_.insert(packet.Flow());
   if (config_.variant == HackVariant::kOpportunistic) {
-    // The vanilla copy won the race. Withdraw the compressed copy from
-    // *both* lists: the vanilla delivery re-anchored the AP's context, so
-    // replaying an older compressed record (even a retained one) would
-    // apply deltas against the wrong state.
+    // The vanilla copy won the race. If it moved the AP's context forward,
+    // it re-anchored it there and dropped the MSN anchor and the learned ack
+    // stride (RohcDecompressor::NoteVanillaAck), so a record compressed
+    // against the old context would be decoded against the new one. Withdraw
+    // the flow's retained records that this cumulative ACK supersedes (ack
+    // not above it, Fig 7), whichever copy won their own race, and every
+    // staged one (a newer record may lean on the stride; its own vanilla
+    // copy is still queued). The ForceRefresh below makes the flow's next
+    // record a refresh.
     PeerState& ps = peers_[dest];
-    uint64_t uid = packet.uid();
-    auto drop = [&](std::deque<StagedAck>& dq) {
+    const FiveTuple flow = packet.Flow();
+    const uint32_t ack = packet.tcp().ack;
+    auto withdraw = [&](std::deque<StagedAck>& dq, auto withdrawn) {
       size_t before = dq.size();
       dq.erase(std::remove_if(dq.begin(), dq.end(),
                               [&](const StagedAck& s) {
-                                return s.vanilla_uid == uid;
+                                return s.flow == flow && withdrawn(s);
                               }),
                dq.end());
       stats_.withdrawn_vanilla_won += before - dq.size();
     };
-    drop(ps.staged);
-    drop(ps.retained);
+    withdraw(ps.retained, [ack](const StagedAck& s) {
+      return !Seq32Gt(s.original.tcp().ack, ack);
+    });
+    withdraw(ps.staged, [](const StagedAck&) { return true; });
     ++stats_.vanilla_acks_sent;
     stats_.vanilla_ack_bytes += packet.SizeBytes();
     compressor_.ForceRefresh(packet.Flow());

@@ -86,6 +86,25 @@ TEST(IntegrationTest, NoCrcFailuresInCleanRuns) {
   }
 }
 
+TEST(IntegrationTest, OpportunisticVanillaWinDropsOlderRetainedRecords) {
+  // A vanilla copy that wins its race re-anchors the AP's context (stride
+  // and MSN anchor dropped), so a retained compressed ACK the vanilla ACK
+  // supersedes, re-sent on the next LL ACK, fails its CRC unless the client
+  // withdraws it. Two clients at seed 3: at 0.37 s vanilla dupacks win
+  // while 21 older records sit retained. One client with 8% loss at seed
+  // 2: at 2.69 s the winning copies belong to records staged after the
+  // retained ones, so withdrawal must go by ACK order, not by the won
+  // copy's place in the lists.
+  ScenarioConfig two = BaseN(HackVariant::kOpportunistic, 2, 3);
+  two.duration = SimTime::Millis(500);
+  EXPECT_EQ(RunScenario(two).crc_failures, 0u);
+  ScenarioConfig lossy = BaseN(HackVariant::kOpportunistic, 1, 2);
+  lossy.duration = SimTime::Seconds(3);
+  lossy.clients.resize(1);
+  lossy.clients[0].bernoulli_data_loss = 0.08;
+  EXPECT_EQ(RunScenario(lossy).crc_failures, 0u);
+}
+
 TEST(IntegrationTest, NoCrcFailuresUnderLoss) {
   // §4.3: "TCP/HACK functions correctly in a lossy environment and does
   // not elicit any decompression CRC failures."

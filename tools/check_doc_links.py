@@ -18,9 +18,9 @@ so no build is needed.
 
 Third check: every `*.md` file named in the code under src/, bench/,
 tests/ and tools/ (a comment's "see docs/qos.md", a printed pointer) must
-exist — as a path from the repo root or from the citing file, or as a
-top-level file of that name. This script is skipped: its self-test
-fixtures name files that exist only in temporary trees.
+exist — as a path from the repo root or from the citing file (a bare
+name is thus a top-level file or a sibling). This script is skipped: its
+self-test fixtures name files that exist only in temporary trees.
 
 Usage: python3 tools/check_doc_links.py [repo_root]
 Exit 0 if every relative link resolves, every documented flag and
@@ -183,8 +183,7 @@ def check_cited_docs(root: pathlib.Path) -> int:
                 for cited in CITED_DOC_RE.findall(line):
                     checked += 1
                     if not ((root / cited).exists()
-                            or (path.parent / cited).exists()
-                            or (root / pathlib.Path(cited).name).exists()):
+                            or (path.parent / cited).exists()):
                         missing.append((path.relative_to(root), lineno, cited))
     for path, lineno, cited in missing:
         print(f"MISSING DOC {path}:{lineno}: {cited}")
@@ -257,6 +256,12 @@ def self_test() -> int:
             "// See EXPERIMENTS.md for the gap.\n", encoding="utf-8")
         if check_cited_docs(root) != 1:
             print("self-test FAIL: code citing a missing doc did not fail")
+            ok = False
+        # A path whose file name matches a top-level doc is still missing.
+        (root / "src" / "mac.h").write_text(
+            "// See docs/README.md.\n", encoding="utf-8")
+        if check_cited_docs(root) != 1:
+            print("self-test FAIL: a missing docs/README.md did not fail")
             ok = False
     print("check_doc_links self-test " + ("passed" if ok else "FAILED"))
     return 0 if ok else 1
