@@ -110,6 +110,30 @@ TEST(MacTest, RetriesRecoverLoss80211a) {
             50u);
 }
 
+// A stop-and-wait MPDU that is never ACKed goes out once plus
+// kMpduRetryLimit (7) retries, is dropped, and the next MPDU starts fresh
+// at the next sequence number.
+TEST(MacTest, UnackedMpduDroppedAfterRetryLimit80211a) {
+  MacPair pair(WifiStandard::k80211a, 54, /*loss_at_b=*/1.0);
+  pair.mac_a->Enqueue(MakeUdpPacket(500), MacAddress::ForStation(1));
+  pair.sched.RunUntil(SimTime::Millis(200));
+  const MacStats& a = pair.mac_a->stats();
+  EXPECT_EQ(a.mpdu_tx_attempts, 8u);
+  EXPECT_EQ(a.response_timeouts, 8u);
+  EXPECT_EQ(a.mpdus_dropped_retry_limit, 1u);
+  EXPECT_TRUE(pair.received_at_b.empty());
+
+  pair.phy_b->set_loss_model(std::make_unique<NoLossModel>());
+  pair.mac_a->Enqueue(MakeUdpPacket(777), MacAddress::ForStation(1));
+  pair.sched.RunUntil(SimTime::Millis(400));
+  EXPECT_EQ(a.mpdu_tx_attempts, 9u);
+  EXPECT_EQ(a.mpdus_delivered_first_try, 1u);
+  EXPECT_EQ(a.mpdus_delivered_retried, 0u);
+  ASSERT_EQ(pair.received_at_b.size(), 1u);
+  EXPECT_EQ(pair.received_at_b[0].payload_bytes(), 777u);
+  EXPECT_EQ(pair.mac_b->stats().duplicate_mpdus_discarded, 0u);
+}
+
 TEST(MacTest, AmpduAggregates80211n) {
   MacPair pair(WifiStandard::k80211n, 150);
   for (uint32_t i = 0; i < 42; ++i) {
