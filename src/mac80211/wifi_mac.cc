@@ -17,7 +17,7 @@ SimTime EifsExtra(const PhyTimings& timings) {
 bool IsResponseFrame(const Ppdu& ppdu) {
   WifiFrameType t = ppdu.first().type;
   return t == WifiFrameType::kAck || t == WifiFrameType::kBlockAck ||
-         t == WifiFrameType::kCts || t == WifiFrameType::kCfEnd;
+         t == WifiFrameType::kCts;
 }
 
 // IP-datagram airtime of the MPDUs at the PPDU's rate (no preamble, no MAC
@@ -33,10 +33,13 @@ SimTime PayloadAirtime(const Ppdu& ppdu) {
       bytes * 8 * 1'000'000 / ppdu.mode.rate_kbps));
 }
 
-// Retry ladders: data MPDUs are dropped past this many retransmissions, and
-// a Block ACK agreement is given up past this many unanswered BARs.
+// Retry ladders: data MPDUs are dropped past this many retransmissions, a
+// Block ACK agreement is given up past this many unanswered BARs, and past
+// this many consecutive CTS timeouts toward one destination a single
+// exchange goes out unprotected (forward progress past a CTS-deaf peer).
 constexpr int kMpduRetryLimit = 7;
 constexpr int kBarRetryLimit = 7;
+constexpr int kRtsRetryLimit = 7;
 
 // Access-category sets, highest priority first (see WifiMac::acs_).
 constexpr uint8_t kEdcaAcs[] = {kAcVo, kAcVi, kAcBe, kAcBk};
@@ -177,10 +180,6 @@ size_t WifiMac::FlushStation(TxState& st) {
   }
   flushed += st.outstanding_count;
   st.ClearOutstanding();
-  if (st.single_inflight.has_value()) {
-    ++flushed;
-    st.single_inflight.reset();
-  }
   st.bar_pending = false;
   return flushed;
 }
@@ -277,11 +276,9 @@ void WifiMac::UpdateServiceRing(TxState& st) {
 }
 
 bool WifiMac::AcHasWork(const TxState& st, uint8_t ac) const {
-  // Recovery work (BAR, un-acked outstanding MPDUs, a single in flight)
-  // belongs to the AC that originally transmitted it.
-  bool recovery = st.bar_pending || st.outstanding_count > 0 ||
-                  st.single_inflight.has_value();
-  if (recovery && st.recovery_ac == ac) {
+  // Recovery work (BAR, un-acked outstanding MPDUs) belongs to the AC that
+  // originally transmitted it.
+  if ((st.bar_pending || st.outstanding_count > 0) && st.recovery_ac == ac) {
     return true;
   }
   if (ac == kAcBe) {
@@ -607,46 +604,22 @@ Ppdu WifiMac::BuildDataPpdu(MacAddress dest, TxState& st) {
   }
   WifiMode resp_mode = ControlResponseMode(ppdu.mode);
 
-  if (config_.standard == WifiStandard::k80211a) {
-    // 802.11a has no A-MPDU: stop-and-wait single MPDU.
-    if (!st.single_inflight.has_value()) {
-      if (queue.empty()) {
-        return ppdu;
-      }
-      WifiFrame frame;
-      frame.type = WifiFrameType::kData;
-      frame.ta = address_;
-      frame.ra = dest;
-      frame.seq = st.next_seq;
-      st.next_seq = SeqAdd(st.next_seq, 1);
-      frame.packet = std::move(queue.front());
-      queue.pop_front();
-      st.single_inflight = OutstandingMpdu{std::move(frame), 0};
-      st.recovery_ac = current_ac_;
-    } else {
-      st.single_inflight->frame.retry = true;
-    }
-    WifiFrame frame = st.single_inflight->frame;
-    frame.more_data = !queue.empty();
-    frame.sync = st.sync_pending;
-    frame.duration_field =
-        timings_.sifs + FrameDuration(resp_mode, kAckBytes);
-    st.single_inflight->frame.more_data = frame.more_data;
-    ppdu.aggregated = false;
-    ppdu.mpdus.push_back(std::move(frame));
-    current_aggregated_ = false;
-    current_batch_seqs_.push_back(ppdu.mpdus.front().seq);
-    return ppdu;
-  }
-
-  // A-MPDU: retransmissions first (sequence order), then fresh MPDUs, within
-  // the Block ACK window, the 64 KB / 64-MPDU A-MPDU bounds and the TXOP.
-  ppdu.aggregated = true;
-  current_aggregated_ = true;
+  // Retransmissions first (sequence order), then fresh MPDUs, within the
+  // originator window. 802.11n sends them as one A-MPDU inside the 64-MPDU
+  // Block ACK window, the 64 KB A-MPDU bound and the TXOP. 802.11a has no
+  // A-MPDU: stop-and-wait is a window of one MPDU, sent bare and answered
+  // by an ACK.
+  const bool aggregated = config_.standard != WifiStandard::k80211a;
+  const uint16_t window = aggregated ? kMaxAmpduMpdus : 1;
+  ppdu.aggregated = aggregated;
+  current_aggregated_ = aggregated;
   size_t psdu_bytes = 0;
   // Admission check on the byte count alone, so fresh MPDUs can be sized
   // before their Packet is moved out of the queue.
   auto fits_bytes = [&](size_t mpdu_bytes) {
+    if (!aggregated) {
+      return true;  // the one-MPDU window is the only bound
+    }
     size_t padded = (mpdu_bytes + 3) & ~size_t{3};
     size_t new_bytes = psdu_bytes + kAmpduDelimiterBytes + padded;
     if (new_bytes > kMaxAmpduBytes ||
@@ -664,8 +637,7 @@ Ppdu WifiMac::BuildDataPpdu(MacAddress dest, TxState& st) {
 
   // Retransmissions in window order from win_start (the ring is naturally
   // sorted by SeqDistance(win_start, seq)).
-  for (uint16_t i = 0;
-       i < kMaxAmpduMpdus && st.outstanding_count > 0; ++i) {
+  for (uint16_t i = 0; i < window && st.outstanding_count > 0; ++i) {
     OutstandingMpdu* out = st.FindOutstanding(SeqAdd(st.win_start, i));
     if (out == nullptr) {
       continue;
@@ -680,9 +652,7 @@ Ppdu WifiMac::BuildDataPpdu(MacAddress dest, TxState& st) {
 
   // Fresh MPDUs: the Packet moves queue -> frame -> outstanding (the
   // retained copy for retransmission); the PPDU gets a copy of the frame.
-  while (!queue.empty() &&
-         SeqInWindow(st.win_start, st.next_seq,
-                     static_cast<uint16_t>(kMaxAmpduMpdus))) {
+  while (!queue.empty() && SeqInWindow(st.win_start, st.next_seq, window)) {
     size_t mpdu_bytes = kQosDataHeaderBytes + kLlcSnapBytes +
                         queue.front().SizeBytes() + kFcsBytes;
     if (!fits_bytes(mpdu_bytes)) {
@@ -711,16 +681,19 @@ Ppdu WifiMac::BuildDataPpdu(MacAddress dest, TxState& st) {
   bool more = !queue.empty() ||
               st.outstanding_count > ppdu.mpdus.size();
   bool sync = st.sync_pending;
-  if (sync) {
-    ++stats_.batches_sent_with_sync;
-  }
-  if (more) {
-    ++stats_.batches_sent_more_data;
-  } else {
-    ++stats_.batches_sent_final;
+  if (aggregated) {
+    if (sync) {
+      ++stats_.batches_sent_with_sync;
+    }
+    if (more) {
+      ++stats_.batches_sent_more_data;
+    } else {
+      ++stats_.batches_sent_final;
+    }
   }
   SimTime duration_field =
-      timings_.sifs + FrameDuration(resp_mode, kBlockAckBytes);
+      timings_.sifs +
+      FrameDuration(resp_mode, aggregated ? kBlockAckBytes : kAckBytes);
   for (WifiFrame& mpdu : ppdu.mpdus) {
     mpdu.more_data = more;
     mpdu.sync = sync;
@@ -740,8 +713,6 @@ void WifiMac::OnTxEnd(const Ppdu& ppdu) {
   tx_end_time_ = scheduler_->Now();
   if (ppdu.first().type == WifiFrameType::kRts) {
     phase_ = TxPhase::kAwaitingCts;
-    rts_reservation_until_ =
-        scheduler_->Now() + ppdu.first().duration_field;
     cts_timeout_event_ = scheduler_->ScheduleIn(
         CtsTimeoutDelay(),
         [this]() {
@@ -791,11 +762,6 @@ void WifiMac::HandleCtsTimeout() {
   CHECK(phase_ == TxPhase::kAwaitingCts);
   ++stats_.cts_timeouts;
   pending_data_ppdu_.reset();
-  // The reservation we advertised is dead air from here to its horizon.
-  // Overhearers' NAV-reset probes only reclaim it if their probe window
-  // passed in silence — any unrelated PHY activity makes a probe stand
-  // down — so, when enabled, broadcast a CF-End to release everyone now.
-  MaybeSendCfEnd();
   if (current_dest_gone_) {
     // Peer removed mid-exchange: its TxState was already reset (and may
     // belong to a new peer) — abandon without touching it.
@@ -805,10 +771,10 @@ void WifiMac::HandleCtsTimeout() {
     MaybeRequestAccess();
     return;
   }
-  // The exchange never left the RTS: the MPDUs stay outstanding (or
-  // single_inflight) and are rebuilt at the next grant — re-entering
-  // backoff is the ordinary CW-doubling path, which the lazy idle-edge
-  // re-arm already handles (NotifyTxFailure re-dates a deferred grant).
+  // The exchange never left the RTS: the MPDUs stay outstanding and are
+  // rebuilt at the next grant — re-entering backoff is the ordinary
+  // CW-doubling path, which the lazy idle-edge re-arm already handles
+  // (NotifyTxFailure re-dates a deferred grant).
   //
   // Deliberately NO rate feedback here: the CTS outcome gates what ARF
   // hears. A missing CTS means the basic-rate RTS collided — a contention
@@ -821,40 +787,13 @@ void WifiMac::HandleCtsTimeout() {
     rate_ctrl_->AbandonPick(current_dest_sid_);
   }
   TxState& st = tx_[current_dest_sid_];
-  if (++st.rts_retries > config_.rts_retry_limit) {
+  if (++st.rts_retries > kRtsRetryLimit) {
     st.rts_retries = 0;
     st.rts_bypass_once = true;
   }
   UpdateServiceRing(st);
   phase_ = TxPhase::kIdle;
   MaybeRequestAccess();
-}
-
-void WifiMac::MaybeSendCfEnd() {
-  if (!config_.enable_cf_end) {
-    return;
-  }
-  WifiMode cf_mode = ControlResponseMode(current_data_mode_);
-  SimTime air = FrameDuration(cf_mode, kCfEndBytes);
-  if (scheduler_->Now() + air >= rts_reservation_until_) {
-    return;  // the reservation runs out before the truncation could land
-  }
-  WifiFrame cf;
-  cf.type = WifiFrameType::kCfEnd;
-  cf.ta = address_;
-  cf.ra = MacAddress::Broadcast();
-  // duration_field stays zero: a CF-End reserves nothing, it only releases.
-  Ppdu ppdu;
-  ppdu.aggregated = false;
-  ppdu.mode = cf_mode;
-  ppdu.mpdus.push_back(std::move(cf));
-  if (phy_->Send(std::move(ppdu))) {
-    ++stats_.cf_ends_sent;
-  } else {
-    // Half-duplex PHY mid-arrival at the exact timeout instant: rare, and
-    // the per-overhearer probes remain the backstop.
-    ++stats_.tx_dropped_phy_busy;
-  }
 }
 
 void WifiMac::NotifyRateOutcome(StationId sid, bool success) {
@@ -902,8 +841,12 @@ void WifiMac::HandleBlockAck(const WifiFrame& frame) {
   st.bar_pending = false;
   st.sync_pending = false;
 
-  CHECK(frame.ba.has_value());
-  const BlockAckInfo& ba = *frame.ba;
+  // A stop-and-wait ACK acknowledges the batch's one MPDU: a one-bit
+  // Block ACK starting at its seq.
+  CHECK(frame.ba.has_value() || current_batch_seqs_.size() == 1);
+  const BlockAckInfo ba = frame.ba.has_value()
+                              ? *frame.ba
+                              : BlockAckInfo{current_batch_seqs_[0], 1};
   auto acked = [&](uint16_t seq) {
     uint16_t dist = SeqDistance(ba.start_seq, seq);
     if (dist < 64) {
@@ -927,29 +870,8 @@ void WifiMac::HandleBlockAck(const WifiFrame& frame) {
     ReleaseDelivered(st, *out);
     st.EraseOutstanding(seq);
   }
-  // Un-acked MPDUs that were transmitted in this batch count a retry.
-  for (uint16_t seq : current_batch_seqs_) {
-    OutstandingMpdu* out = st.FindOutstanding(seq);
-    if (out == nullptr) {
-      continue;
-    }
-    if (++out->retries > kMpduRetryLimit) {
-      ++stats_.mpdus_dropped_retry_limit;
-      st.EraseOutstanding(seq);
-    }
-  }
-  // Advance the originator window to the oldest un-acked MPDU.
-  if (st.outstanding_count == 0) {
-    st.win_start = st.next_seq;
-  } else {
-    for (uint16_t i = 0; i < kMaxAmpduMpdus; ++i) {
-      uint16_t seq = SeqAdd(st.win_start, i);
-      if (st.FindOutstanding(seq) != nullptr) {
-        st.win_start = seq;
-        break;
-      }
-    }
-  }
+  RetryUnacked(st);
+  AdvanceTxWindow(st);
   UpdateServiceRing(st);
 
   if (current_all_tcp_acks_) {
@@ -963,33 +885,31 @@ void WifiMac::HandleBlockAck(const WifiFrame& frame) {
   FinishExchange();
 }
 
-void WifiMac::HandleAck(const WifiFrame& frame) {
-  if (phase_ != TxPhase::kAwaitingResponse || frame.ta != current_dest_) {
-    return;
+size_t WifiMac::RetryUnacked(TxState& st) {
+  size_t dropped = 0;
+  for (uint16_t seq : current_batch_seqs_) {
+    OutstandingMpdu* out = st.FindOutstanding(seq);
+    if (out != nullptr && ++out->retries > kMpduRetryLimit) {
+      ++stats_.mpdus_dropped_retry_limit;
+      st.EraseOutstanding(seq);
+      ++dropped;
+    }
   }
-  scheduler_->Cancel(response_timeout_event_);
-  response_timeout_event_ = kInvalidEventId;
-  if (current_dest_gone_) {
-    current_dest_gone_ = false;
-    EngineFor(current_ac_).NotifyTxSuccess();
-    FinishExchange();
-    return;
-  }
+  return dropped;
+}
 
-  TxState& st = tx_[current_dest_sid_];
-  if (st.single_inflight.has_value()) {
-    ReleaseDelivered(st, *st.single_inflight);
-    st.single_inflight.reset();
+void WifiMac::AdvanceTxWindow(TxState& st) {
+  if (st.outstanding_count == 0) {
+    st.win_start = st.next_seq;
+    return;
   }
-  st.sync_pending = false;
-  UpdateServiceRing(st);
-  if (current_all_tcp_acks_) {
-    stats_.tcp_ack_ll_ack_overhead_ns +=
-        (scheduler_->Now() - tx_end_time_).ns();
+  for (uint16_t i = 0; i < kMaxAmpduMpdus; ++i) {
+    uint16_t seq = SeqAdd(st.win_start, i);
+    if (st.FindOutstanding(seq) != nullptr) {
+      st.win_start = seq;
+      return;
+    }
   }
-  NotifyRateOutcome(current_dest_sid_, /*success=*/true);
-  EngineFor(current_ac_).NotifyTxSuccess();
-  FinishExchange();
 }
 
 void WifiMac::HandleResponseTimeout() {
@@ -1019,10 +939,12 @@ void WifiMac::HandleResponseTimeout() {
   } else if (current_aggregated_) {
     // No Block ACK for a data batch: recover via BAR (§3.4, Figs 5-8).
     st.bar_pending = true;
-  } else if (st.single_inflight.has_value()) {
-    if (++st.single_inflight->retries > kMpduRetryLimit) {
-      ++stats_.mpdus_dropped_retry_limit;
-      st.single_inflight.reset();
+  } else {
+    // No ACK for a stop-and-wait MPDU: it counts a retry, and a drop at
+    // the retry limit is an exchange give-up.
+    bool dropped = RetryUnacked(st) > 0;
+    AdvanceTxWindow(st);
+    if (dropped) {
       NoteGiveUp(st);
     }
   }
@@ -1078,26 +1000,6 @@ void WifiMac::OnPpduReceived(const Ppdu& ppdu,
   CHECK_LT(first_ok, mpdu_ok.size());
   const WifiFrame& first = ppdu.mpdus[first_ok];
 
-  if (first.type == WifiFrameType::kCfEnd) {
-    // NAV truncation: the reservation holder announces the exchange is
-    // over. Broadcast-addressed, so it is handled before the ra check.
-    nav_provisional_ = false;
-    if (scheduler_->Now() < nav_until_) {
-      ++stats_.cf_end_truncations;
-      nav_until_ = scheduler_->Now();
-      if (!medium_busy_reported_) {
-        // Re-date the announced idle start to now with a zero-length busy
-        // pulse — the announcement machinery only ever extends on its own.
-        reported_idle_from_ = scheduler_->Now();
-        ForEachEngine([this](DcfEngine& engine) {
-          engine.NotifyMediumBusy();
-          engine.NotifyMediumIdleFrom(reported_idle_from_);
-        });
-      }
-    }
-    return;
-  }
-
   if (first.ra != address_) {
     // Not for us: honour the NAV reservation.
     if (!first.duration_field.IsZero()) {
@@ -1134,17 +1036,12 @@ void WifiMac::OnPpduReceived(const Ppdu& ppdu,
     case WifiFrameType::kData:
       HandleDataPpdu(ppdu, mpdu_ok);
       break;
+    case WifiFrameType::kAck:
     case WifiFrameType::kBlockAck:
       if (hack_hooks_ != nullptr && !first.hack_payload.empty()) {
         hack_hooks_->OnAckPayload(first.ta, first.hack_payload);
       }
       HandleBlockAck(first);
-      break;
-    case WifiFrameType::kAck:
-      if (hack_hooks_ != nullptr && !first.hack_payload.empty()) {
-        hack_hooks_->OnAckPayload(first.ta, first.hack_payload);
-      }
-      HandleAck(first);
       break;
     case WifiFrameType::kBlockAckReq:
       HandleBar(first, ppdu.mode);
@@ -1155,8 +1052,6 @@ void WifiMac::OnPpduReceived(const Ppdu& ppdu,
     case WifiFrameType::kCts:
       HandleCts(first);
       break;
-    case WifiFrameType::kCfEnd:
-      break;  // handled above (broadcast ra never reaches this switch)
   }
 }
 

@@ -1,5 +1,6 @@
-// 802.11 MAC: DCF/EDCA access, stop-and-wait single-MPDU exchanges
-// (802.11a) and A-MPDU + Block ACK exchanges (802.11n), Block ACK Request
+// 802.11 MAC: DCF/EDCA access, one originator exchange path for A-MPDU +
+// Block ACK exchanges (802.11n) and stop-and-wait (802.11a: the same
+// outstanding window, one MPDU wide, answered by an ACK), Block ACK Request
 // recovery, RTS/CTS with NAV-based virtual carrier sensing (rts_threshold),
 // per-station ARF rate adaptation, NAV, EIFS, per-destination queues, and
 // the two header bits HACK relies on: MORE DATA (standard, §3.2) and SYNC
@@ -91,9 +92,6 @@ struct WifiMacConfig {
   // overhearing stations reserve (NAV) the whole exchange. 0 disables —
   // the default, and the legacy scenarios' bit-identical path.
   size_t rts_threshold = 0;
-  // Consecutive CTS timeouts for one destination after which a single
-  // exchange is sent unprotected (forward progress past a CTS-deaf peer).
-  int rts_retry_limit = 7;
   // NAV-reset probe implementation. false (default) = coalesced: the probe
   // is one provisional deadline per overheard RTS reservation, consulted
   // lazily from dated CCA edges — zero scheduled events per overhearer.
@@ -101,12 +99,6 @@ struct WifiMacConfig {
   // pick-for-pick reference the coalesced path is tested against
   // (docs/mac.md).
   bool legacy_nav_probe_events = false;
-  // CF-End truncation: after a CTS timeout the RTS originator broadcasts a
-  // CF-End frame releasing the remainder of its dead reservation at every
-  // overhearer — reclaiming reservations the per-station probes would miss
-  // (any PHY activity in the probe window makes a probe stand down). Off by
-  // default: the legacy bit-identical path sends nothing.
-  bool enable_cf_end = false;
   // Per-station ARF rate adaptation over the standard's mode table;
   // data_mode becomes the starting rate. Off by default: every data PPDU
   // then goes out at data_mode exactly as before.
@@ -230,7 +222,8 @@ class WifiMac final : public WifiPhyListener {
   // Outstanding MPDUs live in a 64-slot ring keyed by seq % 64: every live
   // seq is inside [win_start, win_start + 64) (the Block ACK window), so
   // slots are collision-free and "iterate in window order" is a 64-step
-  // walk from win_start.
+  // walk from win_start. 802.11a stop-and-wait uses the same ring with a
+  // window of one MPDU.
   struct TxState {
     static constexpr uint32_t kNoServiceSlot = 0xFFFFFFFFu;
 
@@ -246,7 +239,6 @@ class WifiMac final : public WifiPhyListener {
     // RTS protection so a CTS-deaf peer cannot stall the queue forever.
     int rts_retries = 0;
     bool rts_bypass_once = false;
-    std::optional<OutstandingMpdu> single_inflight;  // 802.11a stop-and-wait
     uint32_t service_slot = kNoServiceSlot;  // slot in every AC ring
     // Consecutive exchange give-ups with no delivery in between; feeds the
     // dead-peer flush (config.dead_peer_flush_threshold).
@@ -263,7 +255,7 @@ class WifiMac final : public WifiPhyListener {
 
     bool HasWork() const {
       return bar_pending || !queue.empty() || outstanding_count > 0 ||
-             single_inflight.has_value() || HasEdcaBacklog();
+             HasEdcaBacklog();
     }
     bool HasEdcaBacklog() const {
       if (edca_queues == nullptr) {
@@ -340,7 +332,7 @@ class WifiMac final : public WifiPhyListener {
   // created per-AC queue otherwise.
   std::deque<Packet>& SendQueue(TxState& st, uint8_t ac);
   // Whether `ac`'s engine has a reason to contend for this station: fresh
-  // packets in its queue, or recovery work (BAR/outstanding/single) that
+  // packets in its queue, or recovery work (BAR/outstanding MPDUs) that
   // the AC of the original exchange owns.
   bool AcHasWork(const TxState& st, uint8_t ac) const;
   SimTime TxopLimitFor(uint8_t ac) const;
@@ -360,10 +352,18 @@ class WifiMac final : public WifiPhyListener {
   void HandleCts(const WifiFrame& frame);
   void HandleCtsTimeout();
   void HandleResponseTimeout();
+  // The response to a data or BAR exchange: a Block ACK, or the ACK of a
+  // stop-and-wait exchange, read as a one-bit Block ACK for its MPDU.
   void HandleBlockAck(const WifiFrame& frame);
-  void HandleAck(const WifiFrame& frame);
   void FinishExchange();
   void ReleaseDelivered(TxState& st, const OutstandingMpdu& mpdu);
+  // Counts a retry against every MPDU of the current batch still
+  // outstanding and drops those past the retry limit; returns the number
+  // dropped.
+  size_t RetryUnacked(TxState& st);
+  // Slides the originator window to the oldest outstanding MPDU (to
+  // next_seq when none is left).
+  void AdvanceTxWindow(TxState& st);
   void GiveUpBlockAck(TxState& st);
   // Counts a give-up towards the dead-peer streak and flushes the
   // destination's queue once the threshold is crossed.
@@ -399,9 +399,6 @@ class WifiMac final : public WifiPhyListener {
   // same decision the armed probe event makes in legacy mode.
   void ResolveNavProbe();
   void FinishNavProbe();
-  // Broadcasts a CF-End truncation after a CTS timeout if enabled and the
-  // dead reservation still has enough air left to be worth reclaiming.
-  void MaybeSendCfEnd();
 
   Scheduler* scheduler_;
   WifiPhy* phy_;
@@ -483,9 +480,6 @@ class WifiMac final : public WifiPhyListener {
   bool nav_provisional_ = false;
   SimTime nav_probe_deadline_;
   SimTime nav_probe_value_;  // the nav_until_ the probe would reclaim
-  // End of the reservation advertised by the last RTS this MAC sent; a
-  // CF-End truncation is only worth the air while it is still future.
-  SimTime rts_reservation_until_;
   bool medium_busy_reported_ = false;
   // Idle start last announced to the DCF engine (Now() or a future
   // nav_until_). NAV expiry is never a scheduled event: the engine arms its

@@ -20,8 +20,6 @@ size_t WifiFrame::SizeBytes() const {
       return kRtsBytes;
     case WifiFrameType::kCts:
       return kCtsBytes;
-    case WifiFrameType::kCfEnd:
-      return kCfEndBytes;
   }
   return 0;
 }

@@ -244,7 +244,6 @@ void WirelessChannel::Transmit(WifiPhy* sender, Ppdu ppdu) {
       break;
     case WifiFrameType::kRts:
     case WifiFrameType::kCts:
-    case WifiFrameType::kCfEnd:
       airtime_.rts_cts_ns += duration.ns();
       break;
   }

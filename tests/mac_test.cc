@@ -610,7 +610,6 @@ TEST(MacRtsTest, CtsTimeoutReentersBackoffThenBypassesAfterLimit) {
   cfg.standard = WifiStandard::k80211n;
   cfg.data_mode = ModeForRate(Modes80211n(), 150);
   cfg.rts_threshold = 500;
-  cfg.rts_retry_limit = 3;
   MacPair pair(WifiStandard::k80211n, 150);
   pair.mac_a = std::make_unique<WifiMac>(&pair.sched, pair.phy_a.get(),
                                          MacAddress::ForStation(0), cfg,
@@ -621,14 +620,14 @@ TEST(MacRtsTest, CtsTimeoutReentersBackoffThenBypassesAfterLimit) {
   pair.mac_b->on_rx_packet = [&pair](Packet p, MacAddress) {
     pair.received_at_b.push_back(std::move(p));
   };
-  // B hears nothing at all: every RTS times out. After rts_retry_limit
+  // B hears nothing at all: every RTS times out. After kRtsRetryLimit (7)
   // consecutive CTS timeouts the MAC sends one exchange unprotected.
   pair.phy_b->set_loss_model(std::make_unique<BernoulliLossModel>(1.0, 1.0));
   pair.mac_a->Enqueue(MakeUdpPacket(1460), MacAddress::ForStation(1));
   pair.sched.RunUntil(SimTime::Millis(100));
 
   const MacStats& s = pair.mac_a->stats();
-  EXPECT_GE(s.cts_timeouts, 4u);
+  EXPECT_GE(s.cts_timeouts, 8u);
   EXPECT_GE(s.rts_bypasses, 1u);
   // Every CTS timeout re-entered backoff and re-contended: the RTS count
   // tracks the timeouts (plus bypass exchanges that also failed).
@@ -883,7 +882,7 @@ TEST(MacTest, ContendersEventuallyCollideAndRecover) {
 
 // Drives a legacy-probe MAC (one armed scheduler event per overheard RTS)
 // and a default coalesced-probe MAC through the same scripted overhearer
-// trace — decoded RTSes, raw CCA edges, a CF-End — and demands the same
+// trace — decoded RTSes and raw CCA edges — and demands the same
 // effective NAV view at every checkpoint plus identical stats at the end.
 // This pick-for-pick contract is what lets the coalesced form be the
 // default: same reclaim decisions, at the same instants, from zero events.
@@ -918,7 +917,7 @@ TEST(MacRtsTest, CoalescedProbeMatchesLegacyPickForPick) {
     WifiFrame f;
     f.type = type;
     f.ta = MacAddress::ForStation(from);
-    f.ra = to == 0xff ? MacAddress::Broadcast() : MacAddress::ForStation(to);
+    f.ra = MacAddress::ForStation(to);
     f.duration_field = duration;
     ppdu.mpdus.push_back(std::move(f));
     return ppdu;
@@ -975,111 +974,8 @@ TEST(MacRtsTest, CoalescedProbeMatchesLegacyPickForPick) {
   EXPECT_EQ(coalesced.stats().nav_resets, 1u);
   sched.RunUntil(SimTime::Millis(3));
 
-  // Phase 4 — CF-End: activity first confirms the reservation (both probes
-  // die), then the originator's broadcast truncation releases the rest.
-  sched.RunUntil(SimTime::Millis(4));
-  inject(make_frame(WifiFrameType::kRts, 0, 1, SimTime::Micros(800)));
-  sched.RunUntil(SimTime::Millis(4) + SimTime::Micros(30));
-  cca_pulse();
-  sched.RunUntil(SimTime::Millis(4) + SimTime::Micros(100));
-  inject(make_frame(WifiFrameType::kCfEnd, 0, 0xff, SimTime()));
-  check("CF-End truncation");
-  EXPECT_EQ(coalesced.stats().cf_end_truncations, 1u);
-  EXPECT_EQ(coalesced.nav_until(), SimTime::Millis(4) + SimTime::Micros(100));
-
   EXPECT_TRUE(legacy.stats() == coalesced.stats())
       << "full stats must match after the scripted trace";
-}
-
-// Receiver side of the truncation: an overheard-and-confirmed reservation
-// (CCA activity killed the probe, so nothing else would reclaim it) is
-// released the instant the originator's CF-End arrives, and the station
-// answers the next RTS addressed to it instead of sitting NAV-bound.
-TEST(MacRtsTest, CfEndReleasesConfirmedReservationImmediately) {
-  WifiMacConfig cfg;
-  cfg.standard = WifiStandard::k80211n;
-  cfg.data_mode = ModeForRate(Modes80211n(), 150);
-  cfg.rts_threshold = 500;
-  Scheduler sched;
-  WirelessChannel channel(&sched);
-  WifiPhy phy(&sched, Random(1));
-  phy.AttachTo(&channel);
-  WifiMac mac(&sched, &phy, MacAddress::ForStation(2), cfg, Random(13));
-
-  WifiMode rts_mode = ControlResponseMode(cfg.data_mode);
-  auto make_frame = [&](WifiFrameType type, uint32_t from, uint32_t to,
-                        SimTime duration) {
-    Ppdu ppdu;
-    ppdu.aggregated = false;
-    ppdu.mode = rts_mode;
-    WifiFrame f;
-    f.type = type;
-    f.ta = MacAddress::ForStation(from);
-    f.ra = to == 0xff ? MacAddress::Broadcast() : MacAddress::ForStation(to);
-    f.duration_field = duration;
-    ppdu.mpdus.push_back(std::move(f));
-    return ppdu;
-  };
-  std::vector<bool> ok = {true};
-
-  // t=0: overhear an RTS 0->1 reserving a full millisecond.
-  mac.OnPpduReceived(make_frame(WifiFrameType::kRts, 0, 1, SimTime::Millis(1)),
-                     ok);
-  // t=30us: CCA activity inside the probe window — the exchange started,
-  // the probe dies, the reservation is confirmed to the whole horizon.
-  sched.RunUntil(SimTime::Micros(30));
-  mac.OnCcaBusy();
-  mac.OnCcaIdle();
-  sched.RunUntil(SimTime::Micros(100));
-  EXPECT_EQ(mac.nav_until(), SimTime::Millis(1));
-  // t=100us: the originator declares the exchange over.
-  mac.OnPpduReceived(
-      make_frame(WifiFrameType::kCfEnd, 0, 0xff, SimTime()), ok);
-  EXPECT_EQ(mac.stats().cf_end_truncations, 1u);
-  EXPECT_EQ(mac.nav_until(), SimTime::Micros(100));
-  // t=120us: an RTS addressed to us — answered, 880 us early.
-  sched.RunUntil(SimTime::Micros(120));
-  mac.OnPpduReceived(
-      make_frame(WifiFrameType::kRts, 3, 2, SimTime::Micros(200)), ok);
-  sched.RunUntil(SimTime::Micros(400));
-  EXPECT_EQ(mac.stats().rts_ignored_busy, 0u);
-  EXPECT_EQ(mac.stats().cts_sent, 1u);
-}
-
-// Originator side: with enable_cf_end, a CTS timeout (the reservation is
-// dead air) makes the RTS sender broadcast a CF-End truncation over the
-// real PHY path — the sniffer sees it on the air after the unanswered RTS.
-TEST(MacRtsTest, CtsTimeoutBroadcastsCfEndTruncation) {
-  WifiMacConfig cfg;
-  cfg.standard = WifiStandard::k80211n;
-  cfg.data_mode = ModeForRate(Modes80211n(), 150);
-  cfg.rts_threshold = 500;
-  cfg.enable_cf_end = true;
-  SniffedPair s(cfg);
-  // B hears nothing: every RTS times out and its reservation is dead air.
-  s.pair.phy_b->set_loss_model(
-      std::make_unique<BernoulliLossModel>(1.0, 1.0));
-
-  s.pair.mac_a->Enqueue(MakeUdpPacket(1460), MacAddress::ForStation(1));
-  s.pair.sched.RunUntil(SimTime::Millis(10));
-
-  EXPECT_GT(s.pair.mac_a->stats().cts_timeouts, 0u);
-  EXPECT_GT(s.pair.mac_a->stats().cf_ends_sent, 0u);
-  // On the air: at least one CF-End, each after an RTS, never before the
-  // first RTS; CF-Ends reserve nothing.
-  bool saw_rts = false;
-  size_t cf_ends = 0;
-  for (const auto& f : s.sniffer.frames) {
-    if (f.type == WifiFrameType::kRts) {
-      saw_rts = true;
-    }
-    if (f.type == WifiFrameType::kCfEnd) {
-      EXPECT_TRUE(saw_rts) << "CF-End before any RTS";
-      EXPECT_TRUE(f.duration_field.IsZero());
-      ++cf_ends;
-    }
-  }
-  EXPECT_EQ(cf_ends, s.pair.mac_a->stats().cf_ends_sent);
 }
 
 }  // namespace
