@@ -432,7 +432,9 @@ ScenarioResult RunScenario(const ScenarioConfig& config) {
                               ? "disk"
                               : "hidden";
   std::string repro =
-      "seed=" + std::to_string(config.seed) + " topo=" + topo_name +
+      "seed=" + std::to_string(config.seed) + " std=" +
+      (config.standard == WifiStandard::k80211a ? "a" : "n") +
+      " topo=" + topo_name +
       " proto=" +
       std::string(config.proto == TransportProto::kUdp ? "udp" : "tcp") +
       (config.upload ? "-up" : "") +

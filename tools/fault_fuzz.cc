@@ -1,7 +1,7 @@
 // fault_fuzz: randomized fault-plan campaign driver.
 //
 // Each iteration derives a scenario (topology x transport x HACK variant x
-// cell size) and a random FaultPlan from one meta-seed, then runs it with
+// cell size x standard) and a random FaultPlan from one meta-seed, then runs it with
 // the liveness watchdog armed in abort mode. A wedged cell (stalled queue,
 // NAV leak) aborts the process with a one-line repro recipe; the driver
 // additionally asserts zero CRC failures, zero recorded trips and a bounded
@@ -53,6 +53,7 @@ int main(int argc, char** argv) {
     ScenarioConfig config;
     const char* topo_name = "ring";
     const char* workload = "udp";
+    char standard = 'n';
   };
   std::vector<Plan> specs(static_cast<size_t>(plans));
   for (int i = 0; i < plans; ++i) {
@@ -103,6 +104,13 @@ int main(int argc, char** argv) {
 
     uint64_t plan_seed = meta.NextU64();
     c.fault_plan = FaultPlan::Generate(plan_seed, c.n_clients, c.duration);
+    // Drawn last, so every plan keeps the fields it had before 802.11a
+    // cells joined the mix: about one plan in four runs stop-and-wait.
+    if (meta.NextBool(0.25)) {
+      p.standard = 'a';
+      c.standard = WifiStandard::k80211a;
+      c.data_rate_mbps = 54.0;
+    }
     c.watchdog_interval = SimTime::Millis(10);
     c.watchdog_abort_on_trip = true;  // a wedge aborts with the repro line
   }
@@ -127,22 +135,23 @@ int main(int argc, char** argv) {
           ++failures;
           std::fprintf(stderr,
                        "FAIL plan %d: trips=%llu crc=%llu pending=%llu "
-                       "(bound %llu)\n  repro: seed=%llu topo=%s proto=%s "
-                       "n=%d dur_us=%lld plan=\"%s\"\n",
+                       "(bound %llu)\n  repro: seed=%llu std=%c topo=%s "
+                       "proto=%s n=%d dur_us=%lld plan=\"%s\"\n",
                        i, static_cast<unsigned long long>(r.watchdog.trips),
                        static_cast<unsigned long long>(r.crc_failures),
                        static_cast<unsigned long long>(
                            r.final_pending_events),
                        static_cast<unsigned long long>(pending_bound),
-                       static_cast<unsigned long long>(c.seed), p.topo_name,
-                       p.workload, c.n_clients,
+                       static_cast<unsigned long long>(c.seed), p.standard,
+                       p.topo_name, p.workload, c.n_clients,
                        static_cast<long long>(c.duration.ns() / 1000),
                        c.fault_plan.ToString().c_str());
           return;
         }
-        std::printf("ok plan %3d/%d  topo=%-6s proto=%-8s n=%2d  "
+        std::printf("ok plan %3d/%d  std=%c topo=%-6s proto=%-8s n=%2d  "
                     "faults=%llu checks=%llu goodput=%.1f\n",
-                    i + 1, plans, p.topo_name, p.workload, c.n_clients,
+                    i + 1, plans, p.standard, p.topo_name, p.workload,
+                    c.n_clients,
                     static_cast<unsigned long long>(
                         c.fault_plan.events.size()),
                     static_cast<unsigned long long>(r.watchdog.checks),
