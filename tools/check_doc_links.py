@@ -22,16 +22,23 @@ exist — as a path from the repo root or from the citing file (a bare
 name is thus a top-level file or a sibling). This script is skipped: its
 self-test fixtures name files that exist only in temporary trees.
 
+Fourth check: every `Struct::field` that README.md or docs/*.md cites for
+one of the config and stats structs (WifiMacConfig, ScenarioConfig,
+MacStats, HackAgentConfig, TcpConfig) must name a field declared in that
+struct under src/. Only the first component of a dotted path is checked
+(`ScenarioConfig::hack_config.ack_policy` checks `hack_config`).
+
 Usage: python3 tools/check_doc_links.py [repo_root]
 Exit 0 if every relative link resolves, every documented flag and
-enumerated value exists and every cited doc exists, 1 otherwise (one line
-per dead link, unknown flag, unknown value or missing doc: file, line,
-target).
+enumerated value exists, every cited doc exists and every cited struct
+field is declared, 1 otherwise (one line per dead link, unknown flag,
+unknown value, missing doc or unknown field: file, line, target).
 
 python3 tools/check_doc_links.py --self-test exercises both branches of
 every check on synthetic trees (a clean tree must pass; a dead link, a
-bogus hacksim_run flag, a bogus enumerated value and a code comment citing
-a missing doc must each fail) and exits 0 iff all behave.
+bogus hacksim_run flag, a bogus enumerated value, a code comment citing
+a missing doc and a doc citing a missing struct field must each fail) and
+exits 0 iff all behave.
 """
 
 import pathlib
@@ -56,6 +63,14 @@ DOC_VALUE_RE = re.compile(r"(?<![\w-])(--[a-z][a-z0-9-]*)=([^\s'\"]+)")
 # A doc file named in code: docs/qos.md, PAPERS.md, ...
 CITED_DOC_RE = re.compile(r"(?<![\w./-])([\w./-]*\w\.md)\b")
 CODE_DIRS = ("src", "bench", "tests", "tools")
+# Structs whose fields the docs cite as Struct::field.
+CITED_STRUCTS = ("WifiMacConfig", "ScenarioConfig", "MacStats",
+                 "HackAgentConfig", "TcpConfig")
+CITED_FIELD_RE = re.compile(
+    r"\b(" + "|".join(CITED_STRUCTS) + r")::([A-Za-z_]\w*)")
+# Top-level struct statements that declare no data member.
+NOT_FIELD_PREFIXES = ("friend ", "using ", "static ", "typedef ", "struct ",
+                      "enum ", "class ")
 
 
 def doc_files(root: pathlib.Path):
@@ -192,6 +207,71 @@ def check_cited_docs(root: pathlib.Path) -> int:
     return 1 if missing else 0
 
 
+def top_level_statements(body: str):
+    """Yields the statements directly inside a struct body (comments
+    stripped, whitespace collapsed); method bodies are skipped."""
+    depth, statement = 0, ""
+    for ch in body:
+        depth += {"{": 1, "}": -1}.get(ch, 0)
+        statement += ch
+        if depth == 0 and ch == "}" and "(" in statement.split("{", 1)[0]:
+            statement = ""  # an inline method body just closed
+        elif depth == 0 and ch == ";":
+            yield " ".join(statement[:-1].split())
+            statement = ""
+
+
+def struct_fields(root: pathlib.Path):
+    """{"Struct": {field names}} for CITED_STRUCTS, read from the headers
+    under src/: the data members declared at the top level of each struct
+    body (methods, friends, nested types and aliases excluded)."""
+    fields = {}
+    for header in sorted((root / "src").rglob("*.h")):
+        text = header.read_text(encoding="utf-8")
+        text = "\n".join(line.split("//", 1)[0] for line in text.splitlines())
+        for name in CITED_STRUCTS:
+            at = text.find(f"struct {name} {{")
+            if at < 0:
+                continue
+            body_start = text.index("{", at) + 1
+            depth, end = 1, body_start
+            while depth:
+                depth += {"{": 1, "}": -1}.get(text[end], 0)
+                end += 1
+            names = fields.setdefault(name, set())
+            for statement in top_level_statements(text[body_start:end - 1]):
+                if statement.startswith(NOT_FIELD_PREFIXES):
+                    continue
+                declarator = re.split(r"=|\{", statement, maxsplit=1)[0]
+                match = re.search(r"([A-Za-z_]\w*)\s*$", declarator)
+                if "(" not in declarator and match:
+                    names.add(match.group(1))
+    return fields
+
+
+def check_cited_fields(root: pathlib.Path) -> int:
+    fields = struct_fields(root)
+    unknown = []
+    checked = 0
+    docs = [root / "README.md"] + sorted((root / "docs").glob("*.md"))
+    for doc in docs:
+        if not doc.exists():
+            continue
+        text = doc.read_text(encoding="utf-8")
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            for struct, field in CITED_FIELD_RE.findall(line):
+                checked += 1
+                if field not in fields.get(struct, set()):
+                    unknown.append(
+                        (doc.relative_to(root), lineno, f"{struct}::{field}"))
+    for doc, lineno, cited in unknown:
+        print(f"UNKNOWN FIELD {doc}:{lineno}: {cited}")
+    print(f"cited field check: {checked} Struct::field citations, "
+          f"{len(unknown)} unknown"
+          + (" — FAILED" if unknown else ""))
+    return 1 if unknown else 0
+
+
 def self_test() -> int:
     """Both branches of every check on synthetic trees: clean → 0, dead
     link → 1, bogus hacksim_run flag → 1, bogus enumerated value → 1, code
@@ -263,6 +343,33 @@ def self_test() -> int:
         if check_cited_docs(root) != 1:
             print("self-test FAIL: a missing docs/README.md did not fail")
             ok = False
+        (root / "src" / "mac.h").write_text(
+            "struct MacStats {\n"
+            "  uint64_t rts_sent = 0;  // RTS transmissions\n"
+            "  std::array<uint64_t, 4> ac_ppdus_sent{};\n"
+            "  bool Empty() const { return rts_sent == 0; }\n"
+            "  friend bool operator==(const MacStats&,\n"
+            "                         const MacStats&) = default;\n"
+            "};\n", encoding="utf-8")
+        (root / "docs" / "guide.md").write_text(
+            "`MacStats::rts_sent` and `MacStats::ac_ppdus_sent.size`.\n",
+            encoding="utf-8")
+        if check_cited_fields(root) != 0:
+            print("self-test FAIL: docs citing fields that exist did not "
+                  "pass")
+            ok = False
+        (root / "docs" / "guide.md").write_text(
+            "`MacStats::cf_ends_sent` counts nothing.\n", encoding="utf-8")
+        if check_cited_fields(root) != 1:
+            print("self-test FAIL: a doc citing a missing field did not fail")
+            ok = False
+        (root / "docs" / "guide.md").write_text(
+            "`MacStats::Empty` is a method, not a field.\n",
+            encoding="utf-8")
+        if check_cited_fields(root) != 1:
+            print("self-test FAIL: a doc citing a method as a field did not "
+                  "fail")
+            ok = False
     print("check_doc_links self-test " + ("passed" if ok else "FAILED"))
     return 0 if ok else 1
 
@@ -274,7 +381,8 @@ def main() -> int:
     links = check(root)
     flags = check_flags(root)
     cited = check_cited_docs(root)
-    return 1 if links or flags or cited else 0
+    fields = check_cited_fields(root)
+    return 1 if links or flags or cited or fields else 0
 
 
 if __name__ == "__main__":
