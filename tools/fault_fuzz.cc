@@ -1,8 +1,8 @@
 // fault_fuzz: randomized fault-plan campaign driver.
 //
 // Each iteration derives a scenario (topology x transport x HACK variant x
-// cell size x standard) and a random FaultPlan from one meta-seed, then runs it with
-// the liveness watchdog armed in abort mode. A wedged cell (stalled queue,
+// cell size x standard) and a random FaultPlan from one meta-seed, then
+// runs it with the liveness watchdog armed in abort mode. A wedged cell (stalled queue,
 // NAV leak) aborts the process with a one-line repro recipe; the driver
 // additionally asserts zero CRC failures, zero recorded trips and a bounded
 // scheduler arena at sim end. Exit 0 means every plan survived.
@@ -104,8 +104,8 @@ int main(int argc, char** argv) {
 
     uint64_t plan_seed = meta.NextU64();
     c.fault_plan = FaultPlan::Generate(plan_seed, c.n_clients, c.duration);
-    // Drawn last, so every plan keeps the fields it had before 802.11a
-    // cells joined the mix: about one plan in four runs stop-and-wait.
+    // Drawn last, so no other field of the plan depends on it: about one
+    // plan in four runs 802.11a stop-and-wait.
     if (meta.NextBool(0.25)) {
       p.standard = 'a';
       c.standard = WifiStandard::k80211a;
