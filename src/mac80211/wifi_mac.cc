@@ -478,7 +478,6 @@ void WifiMac::StartExchange(StationId sid, TxState& st) {
 
   if (st.bar_pending) {
     current_is_bar_ = true;
-    current_aggregated_ = false;
     current_data_mode_ = config_.data_mode;
     WifiFrame bar;
     bar.type = WifiFrameType::kBlockAckReq;
@@ -612,7 +611,6 @@ Ppdu WifiMac::BuildDataPpdu(MacAddress dest, TxState& st) {
   const bool aggregated = config_.standard != WifiStandard::k80211a;
   const uint16_t window = aggregated ? kMaxAmpduMpdus : 1;
   ppdu.aggregated = aggregated;
-  current_aggregated_ = aggregated;
   size_t psdu_bytes = 0;
   // Admission check on the byte count alone, so fresh MPDUs can be sized
   // before their Packet is moved out of the queue.
@@ -723,7 +721,8 @@ void WifiMac::OnTxEnd(const Ppdu& ppdu) {
     return;
   }
   phase_ = TxPhase::kAwaitingResponse;
-  bool expect_ba = current_aggregated_ || current_is_bar_;
+  // Every 802.11n exchange (A-MPDU or BAR) is answered by a Block ACK.
+  bool expect_ba = config_.standard != WifiStandard::k80211a;
   response_timeout_event_ = scheduler_->ScheduleIn(
       ResponseTimeoutDelay(expect_ba),
       [this]() {
@@ -936,7 +935,7 @@ void WifiMac::HandleResponseTimeout() {
     } else {
       st.bar_pending = true;
     }
-  } else if (current_aggregated_) {
+  } else if (config_.standard != WifiStandard::k80211a) {
     // No Block ACK for a data batch: recover via BAR (§3.4, Figs 5-8).
     st.bar_pending = true;
   } else {

@@ -454,7 +454,6 @@ class WifiMac final : public WifiPhyListener {
   // CTS→data hop) capture it and become no-ops if a reset intervened.
   uint64_t reset_epoch_ = 0;
   bool current_is_bar_ = false;
-  bool current_aggregated_ = false;
   bool current_all_tcp_acks_ = false;
   // TX mode of the exchange in flight (data rate, or data_mode for BARs);
   // response durations and timeouts derive from it.
